@@ -5,8 +5,10 @@
 /// the GW tensor product (O(n^3)), conditional gradient, the exact
 /// searchers — and the branch-and-bound state machinery: the legacy
 /// copy-and-recompute SearchState walk vs the structure-of-arrays
-/// Push/Pop walk with the O(1) incremental heuristic, plus sequential
-/// vs parallel branch-and-bound wall time with an equality gate across
+/// Push/Pop walk with the O(1) incremental heuristic, the cost of one
+/// branch-and-bound expansion on a budget-exhausting power-law pair
+/// (`bnb_expand_powerlaw`, ns per expansion), plus sequential vs
+/// parallel branch-and-bound wall time with an equality gate across
 /// pool sizes {1, 2, 8}.
 ///
 /// The vectorized kernels are benchmarked through their public entry
@@ -35,6 +37,7 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -306,18 +309,12 @@ int main(int argc, char** argv) {
     std::vector<int> path;
     {
       internal::DfsState d = searcher.MakeDfs();
+      std::vector<int> kids;
       for (int depth = 0; depth < n1; ++depth) {
-        int best_v = -1, best_delta = 0;
-        for (int v = 0; v < searcher.ctx().n2; ++v) {
-          if (d.used >> v & 1) continue;
-          const int delta = searcher.DeltaFast(d, v);
-          if (best_v < 0 || delta < best_delta) {
-            best_v = v;
-            best_delta = delta;
-          }
-        }
-        path.push_back(best_v);
-        searcher.Push(&d, best_v, best_delta);
+        searcher.RankChildren(d, std::numeric_limits<int>::max(), &kids);
+        const int v = internal::Searcher::KeyNode(kids.front());
+        path.push_back(v);
+        searcher.Push(&d, v, internal::Searcher::KeyDelta(kids.front()));
       }
     }
     report(TimeKernel(
@@ -341,6 +338,32 @@ int main(int argc, char** argv) {
           Keep(f);
         },
         min_ms));
+  }
+
+  // ns per expansion of the sequential branch and bound, child ranking
+  // included: one fixed unlabeled power-law pair whose tree outlasts the
+  // budget, so every call expands exactly `budget` nodes (gated).
+  bool bnb_exhausted = true;
+  {
+    Rng rng(10);
+    const Graph a = PowerLawGraph(20, 2, &rng);
+    const Graph b = PowerLawGraph(24, 2, &rng);
+    BnbOptions opt;
+    opt.max_visits = smoke ? 20'000 : 200'000;
+    KernelTiming t = TimeKernel(
+        "bnb_expand_powerlaw",
+        [&] {
+          const GedSearchResult r = BranchAndBoundGed(a, b, opt);
+          bnb_exhausted = bnb_exhausted && !r.exact &&
+                          r.expansions == opt.max_visits;
+          Keep(r.ged);
+        },
+        min_ms);
+    t.ns_per_op /= static_cast<double>(opt.max_visits);
+    t.ops *= opt.max_visits;
+    report(t);
+    std::printf("  bnb_expand_powerlaw exhausts its budget: [%s]\n",
+                bnb_exhausted ? "PASS" : "FAIL");
   }
 
   // Sequential vs parallel branch and bound over a pool of hard pairs,
@@ -464,5 +487,5 @@ int main(int argc, char** argv) {
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("kernel record written to %s\n", out_path.c_str());
-  return equal && twins_ok ? 0 : 1;
+  return equal && twins_ok && bnb_exhausted ? 0 : 1;
 }

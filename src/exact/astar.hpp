@@ -13,6 +13,10 @@
 
 namespace otged {
 
+/// Largest node count the exact searches accept: their partial mappings
+/// keep the used G2 nodes in one 64-bit mask.
+inline constexpr int kMaxExactNodes = 64;
+
 /// Result of an exact (or beam) GED search.
 struct GedSearchResult {
   int ged = 0;

@@ -1,7 +1,6 @@
 #include "exact/branch_and_bound.hpp"
 
 #include <algorithm>
-#include <utility>
 #include <vector>
 
 #include "exact/search_common.hpp"
@@ -28,14 +27,13 @@ struct SeqDriver {
   NodeMatching best_matching;
   bool complete = true;  ///< search space exhausted within budget
 
-  /// Per-depth child rankings, reused across sibling subtrees so the hot
-  /// loop never allocates after warmup.
-  std::vector<std::vector<std::pair<int, int>>> ranked;
+  /// Per-depth child rankings (RankChildren keys), reused across sibling
+  /// subtrees so the hot loop never allocates after warmup.
+  std::vector<std::vector<int>> ranked;
 
   // otged-lint: hot-path
   void Dfs(DfsState& s) {
-    const int n1 = searcher.ctx().n1, n2 = searcher.ctx().n2;
-    if (s.depth == n1) {
+    if (s.depth == searcher.ctx().n1) {
       // Leaves cost g + h exactly (HeuristicOf degenerates to the
       // completion cost once every G1 node is mapped).
       const int total = s.g + searcher.HeuristicOf(s);
@@ -50,15 +48,13 @@ struct SeqDriver {
       return;
     }
     ++expansions;
-    // Order children by true cost delta to find good bounds early.
-    auto& kids = ranked[s.depth];
-    kids.clear();
-    for (int v = 0; v < n2; ++v) {
-      if (s.used >> v & 1) continue;
-      kids.emplace_back(searcher.DeltaFast(s, v), v);
-    }
-    std::sort(kids.begin(), kids.end());
-    for (auto [delta, v] : kids) {
+    // Children by true cost delta, to find good bounds early; those the
+    // current bound prunes are never ranked. best_ged only falls, so the
+    // loop re-checks each survivor against it.
+    std::vector<int>& kids = ranked[s.depth];
+    searcher.RankChildren(s, best_ged, &kids);
+    for (const int key : kids) {
+      const int delta = Searcher::KeyDelta(key), v = Searcher::KeyNode(key);
       if (s.g + delta >= best_ged) continue;  // cheap pre-prune
       searcher.Push(&s, v, delta);
       if (s.g + searcher.HeuristicOf(s) >= best_ged) {  // admissible prune

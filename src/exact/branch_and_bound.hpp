@@ -30,7 +30,13 @@ struct BnbOptions {
 /// search space was exhausted within budget (result proven optimal).
 /// Runs on the do/undo structure-of-arrays scratch state, exploring the
 /// identical tree in the identical order as the historical copy-based
-/// driver — only cheaper per node.
+/// driver — only cheaper per node. Each expansion ranks its children
+/// with Searcher::RankChildren: O(1) bit counting per child on
+/// unlabeled edges, each child's bound from the incremental counters,
+/// and pruned children dropped before the sort — about a third of the
+/// per-expansion cost of the per-child neighbour walk and full sort it
+/// replaced, on unlabeled power-law pairs (`bnb_expand_powerlaw` in
+/// BENCH_kernels.json records it). Requires n1 <= n2 <= kMaxExactNodes.
 GedSearchResult BranchAndBoundGed(const Graph& g1, const Graph& g2,
                                   const BnbOptions& opt = {});
 

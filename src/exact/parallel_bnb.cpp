@@ -24,11 +24,12 @@ namespace {
 /// one per ParallelFor index), so none of them need synchronization.
 struct Subtree {
   struct Frame {
-    std::vector<std::pair<int, int>> kids;  ///< (delta, v) ascending
-    size_t next = 0;                        ///< next child to consume
+    std::vector<int> kids;  ///< RankChildren keys, (delta, v) ascending
+    size_t next = 0;        ///< next child to consume
   };
 
-  std::vector<int> prefix;   ///< G2 choices for order[0..depth_of_prefix)
+  /// RankChildren keys of the G2 choices for order[0..depth_of_prefix).
+  std::vector<int> prefix;
   DfsState state;            ///< positioned at the node owning stack.back()
   std::vector<Frame> stack;  ///< frames root..current, empty before start
   bool started = false;
@@ -62,7 +63,7 @@ void PublishPending(std::atomic<int>* pending, int total) {
 // otged-lint: hot-path
 void RunSlice(const Searcher& searcher, Subtree* t, long quota,
               const std::atomic<int>& incumbent, std::atomic<int>* pending) {
-  const int n1 = searcher.ctx().n1, n2 = searcher.ctx().n2;
+  const int n1 = searcher.ctx().n1;
   DfsState& s = t->state;
   long used_quota = 0;
   const auto bound = [&]() {
@@ -79,13 +80,7 @@ void RunSlice(const Searcher& searcher, Subtree* t, long quota,
     ++used_quota;
     ++t->expansions;
     t->stack.emplace_back();
-    Subtree::Frame& fr = t->stack.back();
-    fr.kids.reserve(static_cast<size_t>(n2 - s.depth));
-    for (int v = 0; v < n2; ++v) {
-      if (s.used >> v & 1) continue;
-      fr.kids.emplace_back(searcher.DeltaFast(s, v), v);
-    }
-    std::sort(fr.kids.begin(), fr.kids.end());
+    searcher.RankChildren(s, bound(), &t->stack.back().kids);
   };
 
   if (!t->started) {
@@ -112,7 +107,8 @@ void RunSlice(const Searcher& searcher, Subtree* t, long quota,
       searcher.Pop(&s);
       continue;
     }
-    const auto [delta, v] = fr.kids[fr.next++];
+    const int key = fr.kids[fr.next++];
+    const int delta = Searcher::KeyDelta(key), v = Searcher::KeyNode(key);
     const int b = bound();
     if (s.g + delta >= b) continue;  // cheap pre-prune
     searcher.Push(&s, v, delta);
@@ -167,7 +163,7 @@ struct PairRun {
 };
 
 void PairRun::Prepare() {
-  const int n1 = searcher.ctx().n1, n2 = searcher.ctx().n2;
+  const int n1 = searcher.ctx().n1;
 
   // Initial upper bound: identity-order greedy matching (always
   // feasible), tightened by the caller's hint — same seed as the
@@ -191,29 +187,21 @@ void PairRun::Prepare() {
   std::vector<std::vector<int>> frontier(1);
   {
     DfsState s = searcher.MakeDfs();
+    std::vector<int> kids;
     int depth = 0;
     while (depth < n1 &&
            static_cast<int>(frontier.size()) < opt.target_subtrees &&
            !frontier.empty()) {
       std::vector<std::vector<int>> next;
       for (const std::vector<int>& prefix : frontier) {
-        for (int v : prefix) searcher.Push(&s, v, searcher.DeltaFast(s, v));
+        for (const int key : prefix)
+          searcher.Push(&s, Searcher::KeyNode(key), Searcher::KeyDelta(key));
         ++expansions;
-        std::vector<std::pair<int, int>> kids;
-        for (int v = 0; v < n2; ++v) {
-          if (s.used >> v & 1) continue;
-          kids.emplace_back(searcher.DeltaFast(s, v), v);
-        }
-        std::sort(kids.begin(), kids.end());
-        for (const auto& [delta, v] : kids) {
-          if (s.g + delta >= bound0) continue;
-          searcher.Push(&s, v, delta);
-          if (s.g + searcher.HeuristicOf(s) < bound0) {
-            std::vector<int> p = prefix;
-            p.push_back(v);
-            next.push_back(std::move(p));
-          }
-          searcher.Pop(&s);
+        searcher.RankChildren(s, bound0, &kids);
+        for (const int key : kids) {
+          std::vector<int> p = prefix;
+          p.push_back(key);
+          next.push_back(std::move(p));
         }
         for (size_t i = 0; i < prefix.size(); ++i) searcher.Pop(&s);
       }
@@ -232,9 +220,9 @@ void PairRun::Prepare() {
   for (size_t i = 0; i < frontier.size(); ++i) {
     subs[i].prefix = std::move(frontier[i]);
     subs[i].state = searcher.MakeDfs();
-    for (int v : subs[i].prefix)
-      searcher.Push(&subs[i].state, v,
-                    searcher.DeltaFast(subs[i].state, v));
+    for (const int key : subs[i].prefix)
+      searcher.Push(&subs[i].state, Searcher::KeyNode(key),
+                    Searcher::KeyDelta(key));
   }
 
   incumbent.store(bound0, std::memory_order_relaxed);

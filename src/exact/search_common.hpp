@@ -11,10 +11,19 @@
 ///   DfsState     one mutable do/undo state in structure-of-arrays
 ///                layout (flat map1to2/map2to1, incremental label
 ///                remainders and edge counters) for the depth-first
-///                branch-and-bound drivers: Push/Pop are O(deg) via
+///                branch-and-bound drivers: Push/Pop are O(1) via
 ///                bit-parallel neighbor masks and the heuristic is O(1),
 ///                against the O(n + m) recompute SearchState pays per
 ///                Child.
+///
+/// The branch-and-bound drivers generate children through one routine,
+/// Searcher::RankChildren. It builds the image mask S of the expanded
+/// node's mapped neighbours once, then prices every free G2 node with a
+/// few popcounts (O(1) per child on unlabeled edges; edge-labeled pairs
+/// keep the O(deg) DeltaFast walk for the delta), computes each child's
+/// f = g + delta + h straight from the incremental counters without a
+/// Push, drops the children the bound already prunes, and
+/// insertion-sorts the survivors as packed `delta << 6 | v` keys.
 ///
 /// Not part of the public API.
 #ifndef OTGED_EXACT_SEARCH_COMMON_HPP_
@@ -28,6 +37,7 @@
 #include <vector>
 
 #include "editpath/edit_path.hpp"
+#include "exact/astar.hpp"
 #include "graph/graph.hpp"
 
 namespace otged::internal {
@@ -42,12 +52,17 @@ struct SearchContext {
   std::vector<int> g1_label, g2_label;  // compacted label ids
   std::vector<uint64_t> adj1_mask, adj2_mask;  // per-node neighbor bitsets
   std::vector<uint64_t> order_prefix;  // [d] = G1 nodes mapped at depth d
+  uint64_t all2 = 0;          // bitmask of every G2 node
+  bool edge_labeled = false;  // either graph carries a non-zero edge label
 
   SearchContext(const Graph& a, const Graph& b) : g1(a), g2(b) {
     n1 = g1.NumNodes();
     n2 = g2.NumNodes();
     OTGED_CHECK(n1 <= n2);
-    OTGED_CHECK_MSG(n2 <= 64, "exact search supports up to 64 nodes");
+    OTGED_CHECK_MSG(n2 <= kMaxExactNodes,
+                    "exact search supports up to 64 nodes");
+    all2 = n2 == 64 ? ~0ull : (1ull << n2) - 1;
+    edge_labeled = g1.HasEdgeLabels() || g2.HasEdgeLabels();
     std::map<Label, int> remap;
     auto compact = [&](const Graph& g, std::vector<int>* out) {
       out->resize(g.NumNodes());
@@ -235,7 +250,8 @@ class Searcher {
   }
 
   /// Same value as Delta, from the SoA state via bit-parallel neighbor
-  /// intersection (mapped G1 nodes are exactly the order prefix).
+  /// intersection (mapped G1 nodes are exactly the order prefix). The
+  /// edge-labeled delta of RankChildren; O(deg) per call.
   // otged-lint: hot-path
   int DeltaFast(const DfsState& s, int v) const {
     const int u = ctx_.order[s.depth];
@@ -260,8 +276,8 @@ class Searcher {
     return c;
   }
 
-  /// Maps order[depth] -> v, charging `delta` (from DeltaFast) and
-  /// updating every incremental counter in O(deg). The surplus update
+  /// Maps order[depth] -> v, charging `delta` (the Delta of v) and
+  /// updating every incremental counter in O(1). The surplus update
   /// applies the two label decrements in sequence: removing an unmapped
   /// G1 node of label a lowers the surplus iff a was oversubscribed, and
   /// removing an unmapped G2 node of label b raises it iff b was not.
@@ -284,6 +300,59 @@ class Searcher {
     s->g += delta;
     ++s->depth;
   }
+
+  /// The children of the node at s.depth whose bound f = g + delta + h
+  /// lies below `bound`, as packed keys `delta << 6 | v` in ascending
+  /// (delta, v) order. Children at or above the bound are dropped before
+  /// ordering: the drivers' bounds only ever decrease, so they would
+  /// prune exactly those children anyway, and the surviving order is the
+  /// one a full (delta, v) sort would give. Each child's f comes from
+  /// the counters Push would leave, without a Push: the surplus after
+  /// the two label decrements, m1_rem minus u's mapped neighbours, and
+  /// m2_rem minus v's used neighbours. On unlabeled edges the delta is
+  /// pure bit counting over S, the images of u's mapped neighbours:
+  ///   [l(u) != l(v)] + |S| - |N2(v) & S| + |N2(v) & used & ~S|
+  /// (deleted edges to S, then inserted edges to mapped non-neighbours).
+  // otged-lint: hot-path
+  void RankChildren(const DfsState& s, int bound,
+                    std::vector<int>* kids) const {
+    const int u = ctx_.order[s.depth];
+    const int a = ctx_.g1_label[u];
+    const uint64_t mapped_nbrs =
+        ctx_.adj1_mask[u] & ctx_.order_prefix[s.depth];
+    uint64_t img = 0;  // S
+    for (uint64_t m = mapped_nbrs; m != 0; m &= m - 1)
+      img |= 1ull << s.map1to2[std::countr_zero(m)];
+    const int deg_mapped = std::popcount(mapped_nbrs);  // |S|
+    const int surplus_a = s.surplus - (s.c1_rem[a] > s.c2_rem[a] ? 1 : 0);
+    const int m1 = s.m1_rem - deg_mapped;
+    const int base = s.g + (ctx_.n2 - ctx_.n1);
+    kids->clear();
+    kids->reserve(static_cast<size_t>(ctx_.n2 - s.depth));
+    for (uint64_t m = ctx_.all2 & ~s.used; m != 0; m &= m - 1) {
+      const int v = std::countr_zero(m);
+      const int b = ctx_.g2_label[v];
+      const uint64_t nv = ctx_.adj2_mask[v];
+      const int kept = std::popcount(nv & img);  // edges to S
+      const int inserted = std::popcount(nv & s.used & ~img);
+      const int node_cost = a != b ? 1 : 0;
+      const int bit_delta = node_cost + deg_mapped - kept + inserted;
+      const int delta = ctx_.edge_labeled ? DeltaFast(s, v) : bit_delta;
+      const int c1_b = s.c1_rem[b] - (a == b ? 1 : 0);  // after u's removal
+      const int surplus = surplus_a + (c1_b >= s.c2_rem[b] ? 1 : 0);
+      const int m2 = s.m2_rem - kept - inserted;  // S lies within `used`
+      if (base + delta + surplus + std::abs(m1 - m2) >= bound) continue;
+      const int key = delta << 6 | v;
+      size_t i = kids->size();
+      kids->push_back(key);
+      for (; i > 0 && (*kids)[i - 1] > key; --i) (*kids)[i] = (*kids)[i - 1];
+      (*kids)[i] = key;
+    }
+  }
+
+  /// Unpacks a RankChildren key.
+  static int KeyDelta(int key) { return key >> 6; }
+  static int KeyNode(int key) { return key & 63; }
 
   /// Exact inverse of Push (undo log), in reverse update order.
   // otged-lint: hot-path

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "assignment/kbest.hpp"
 #include "exact/branch_and_bound.hpp"
@@ -383,11 +384,39 @@ CascadeVerdict FilterCascade::FinishDeferredExact(
   return v;
 }
 
+namespace {
+
+/// The answer for a pair over kMaxExactNodes nodes, which the exact
+/// solvers cannot take (they keep G2's used nodes in one 64-bit mask):
+/// its best upper bound, unproven, after 0 expansions. That is the
+/// caller's seed bound, or the identity matching's cost (with the
+/// matching as its witness) when there is no seed or the identity is
+/// cheaper.
+GedSearchResult UnsearchedExact(const Graph& g1, const Graph& g2,
+                                int initial_upper_bound) {
+  GedSearchResult res;
+  res.exact = false;
+  res.expansions = 0;
+  NodeMatching identity(static_cast<size_t>(g1.NumNodes()));
+  for (int i = 0; i < g1.NumNodes(); ++i) identity[i] = i;
+  res.ged = EditCostFromMatching(g1, g2, identity);
+  if (initial_upper_bound >= 0 && initial_upper_bound < res.ged) {
+    res.ged = initial_upper_bound;
+  } else {
+    res.matching = std::move(identity);
+  }
+  return res;
+}
+
+}  // namespace
+
 GedSearchResult FilterCascade::ExactSearch(const Graph& g1, const Graph& g2,
                                            long budget,
                                            int initial_upper_bound,
                                            CascadeStats* stats) const {
   OTGED_DCHECK(stats != nullptr);
+  if (g2.NumNodes() > kMaxExactNodes)
+    return UnsearchedExact(g1, g2, initial_upper_bound);
   if (exact_pool_ == nullptr) {
     BnbOptions bnb;
     bnb.max_visits = budget;
@@ -439,45 +468,61 @@ std::vector<GedSearchResult> FilterCascade::ExactSearchBatch(
                                 items[i].initial_upper_bound, stats[i]));
     return out;
   }
+  // Oversized pairs are answered here, exactly as ExactSearch answers
+  // them; the rest form the batch (batch[j] solves items[searched[j]]).
+  out.resize(items.size());
   std::vector<ParallelBnbBatchItem> batch;
+  std::vector<size_t> searched;
   batch.reserve(items.size());
-  for (const ExactBatchRequest& it : items) {
+  searched.reserve(items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    const ExactBatchRequest& it = items[i];
+    if (it.g2->NumNodes() > kMaxExactNodes) {
+      out[i] = UnsearchedExact(*it.g1, *it.g2, it.initial_upper_bound);
+      continue;
+    }
     ParallelBnbBatchItem b;
     b.g1 = it.g1;
     b.g2 = it.g2;
     b.opt.max_expansions = it.budget;
     b.opt.initial_upper_bound = it.initial_upper_bound;
     batch.push_back(b);
+    searched.push_back(i);
   }
+  if (batch.empty()) return out;
+  std::vector<GedSearchResult> solved;
   std::vector<ParallelBnbStats> ps;
   {
     // One pool acquisition for the whole batch: all pairs' subtrees share
     // each round's ParallelFor, so a pair down to straggler subtrees no
     // longer leaves exact threads idle while other hard pairs wait.
     MutexLock exact_lock(exact_mu_);
-    out = ParallelBranchAndBoundGedBatch(batch, exact_pool_.get(), &ps);
+    solved = ParallelBranchAndBoundGedBatch(batch, exact_pool_.get(), &ps);
   }
   stats[0]->exact_parallel_batches++;
-  for (size_t i = 0; i < items.size(); ++i) {
-    stats[i]->exact_parallel_runs++;
-    stats[i]->exact_parallel_expansions += out[i].expansions;
-    stats[i]->exact_parallel_subtrees += ps[i].subtrees;
-    stats[i]->exact_parallel_rounds += ps[i].rounds;
-    stats[i]->exact_parallel_incumbent_updates += ps[i].incumbent_updates;
+  for (size_t j = 0; j < batch.size(); ++j) {
+    CascadeStats* st = stats[searched[j]];
+    st->exact_parallel_runs++;
+    st->exact_parallel_expansions += solved[j].expansions;
+    st->exact_parallel_subtrees += ps[j].subtrees;
+    st->exact_parallel_rounds += ps[j].rounds;
+    st->exact_parallel_incumbent_updates += ps[j].incumbent_updates;
   }
 #if OTGED_TELEMETRY_COMPILED
   if (telemetry::Enabled()) {
     const CascadeMetrics& m = Metrics();
     m.parallel_batches->Inc();
-    m.parallel_runs->Inc(static_cast<long>(items.size()));
-    for (size_t i = 0; i < items.size(); ++i) {
-      m.parallel_expansions->Inc(out[i].expansions);
-      m.parallel_subtrees->Inc(ps[i].subtrees);
-      m.parallel_rounds->Inc(ps[i].rounds);
-      m.parallel_incumbent_updates->Inc(ps[i].incumbent_updates);
+    m.parallel_runs->Inc(static_cast<long>(batch.size()));
+    for (size_t j = 0; j < batch.size(); ++j) {
+      m.parallel_expansions->Inc(solved[j].expansions);
+      m.parallel_subtrees->Inc(ps[j].subtrees);
+      m.parallel_rounds->Inc(ps[j].rounds);
+      m.parallel_incumbent_updates->Inc(ps[j].incumbent_updates);
     }
   }
 #endif
+  for (size_t j = 0; j < batch.size(); ++j)
+    out[searched[j]] = std::move(solved[j]);
   return out;
 }
 

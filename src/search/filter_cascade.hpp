@@ -18,8 +18,10 @@
 /// Lower bounds are admissible and upper bounds are witnessed by feasible
 /// edit paths, so a range decision (`GED <= tau`?) made at any tier equals
 /// the brute-force answer: no false dismissals, no false hits. The one
-/// exception is an exact-tier budget exhaustion, where the pair is kept
-/// conservatively (still no false dismissals) and flagged as unproven.
+/// exception is a pair the exact tier cannot prove — its budget ran out,
+/// or the pair has more nodes than the exact solvers accept
+/// (kMaxExactNodes) — which is kept conservatively (still no false
+/// dismissals) and flagged as unproven.
 #ifndef OTGED_SEARCH_FILTER_CASCADE_HPP_
 #define OTGED_SEARCH_FILTER_CASCADE_HPP_
 
@@ -192,7 +194,12 @@ class FilterCascade {
   /// > 1 and to the sequential solver otherwise. Both prove the same
   /// distance when complete; the parallel path additionally accumulates
   /// its deterministic run counters into `stats` and mirrors them into
-  /// the global otged_exact_parallel_* telemetry.
+  /// the global otged_exact_parallel_* telemetry. A pair over
+  /// kMaxExactNodes nodes is not searched: it gets its best upper bound
+  /// back (the seed, or the identity matching's cost when that is lower
+  /// or there is no seed) with `exact == false` and 0 expansions, so
+  /// callers count it as incomplete. `matching` is then the identity
+  /// when that realizes `ged`, and empty otherwise.
   GedSearchResult ExactSearch(const Graph& g1, const Graph& g2, long budget,
                               int initial_upper_bound,
                               CascadeStats* stats) const
@@ -217,6 +224,8 @@ class FilterCascade {
   /// repeat) receives pair i's parallel-run counters, so a batch spanning
   /// several queries attributes work to the right query; the one
   /// batch-level counter goes to stats[0] (see exact_parallel_batches).
+  /// Pairs over kMaxExactNodes nodes get ExactSearch's answer for them
+  /// and stay out of the batch and its counters.
   std::vector<GedSearchResult> ExactSearchBatch(
       const std::vector<ExactBatchRequest>& items,
       const std::vector<CascadeStats*>& stats) const EXCLUDES(exact_mu_);

@@ -105,8 +105,9 @@ struct QueryStats {
 /// GraphStore id. `ged` is the best distance the engine needed for its
 /// decision: the exact distance iff `exact_distance`, otherwise a
 /// feasible upper bound (an unproven distance arises only when the exact
-/// tier exhausted its budget — the candidate is then kept conservatively,
-/// since the cascade never dismisses without an admissible-bound proof).
+/// tier exhausted its budget or the pair is too large for it — the
+/// candidate is then kept conservatively, since the cascade never
+/// dismisses without an admissible-bound proof).
 ///
 /// `exact_distance` defaults to false for every hit kind: a distance is
 /// only exact when a tier proved it, and every construction site must

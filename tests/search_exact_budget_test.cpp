@@ -226,5 +226,112 @@ TEST(ExactBudgetTest, ParallelExactCountersReconcile) {
 #endif
 }
 
+// A pair with more nodes than the exact solvers accept (kMaxExactNodes)
+// must not reach the solver: Range and TopK escalate it to tier 4, which
+// answers with the best upper bound, unproven, counted as incomplete.
+// Covers the inline sequential path and the batched parallel one.
+TEST(ExactBudgetTest, OversizedPairIsKeptUnprovenNotSearched) {
+  Rng rng(65);
+  const Graph big = PowerLawGraph(kMaxExactNodes + 1, 2, &rng);
+  SyntheticEditOptions eopt;
+  eopt.num_edits = 3;
+  eopt.num_labels = 1;
+  eopt.allow_relabel = false;
+  const Graph query = SyntheticEditPair(big, eopt, &rng).g2;
+  ASSERT_GT(query.NumNodes(), kMaxExactNodes);
+  GraphStore store;
+  store.AddAll({big, PowerLawGraph(8, 2, &rng), PowerLawGraph(9, 2, &rng)});
+
+  for (const int exact_threads : {0, 2}) {
+    EngineOptions opt;
+    opt.num_threads = 2;
+    opt.use_bound_cache = false;
+    opt.cascade.use_ot_verify = false;  // force bound gaps into tier 4
+    opt.cascade.parallel_exact_threads = exact_threads;
+    QueryEngine engine(&store, opt);
+
+#if OTGED_TELEMETRY_COMPILED
+    telemetry::SetEnabled(true);
+    const telemetry::MetricsSnapshot before =
+        telemetry::Registry().Snapshot();
+#endif
+    // The smallest tau whose range read escalates the big pair.
+    RangeResult range;
+    for (int tau = 0; tau <= 12; ++tau) {
+      range = engine.Range(query, tau);
+      if (range.stats.cascade.exact_calls > 0) break;
+    }
+    const TopKResult topk = engine.TopK(query, 1);
+#if OTGED_TELEMETRY_COMPILED
+    const telemetry::MetricsSnapshot after =
+        telemetry::Registry().Snapshot();
+#endif
+    ASSERT_GT(range.stats.cascade.exact_calls, 0) << "never escalated";
+    ASSERT_GT(topk.stats.cascade.exact_calls, 0) << "never escalated";
+
+    // Kept conservatively and flagged, with a feasible bound as distance.
+    const int big_id = 0;
+    ASSERT_EQ(range.hits.size(), 1u);
+    EXPECT_EQ(range.hits[0].id, big_id);
+    EXPECT_FALSE(range.hits[0].exact_distance);
+    EXPECT_GE(range.hits[0].ged, 0);
+    // Every stored graph pairs with the query above the limit, so the
+    // top-1 distance is some pair's unproven upper bound.
+    ASSERT_EQ(topk.hits.size(), 1u);
+    EXPECT_FALSE(topk.hits[0].exact_distance);
+    EXPECT_GE(topk.hits[0].ged, 0);
+
+    // Every escalation of the big pair counts as incomplete, and no
+    // solver run is charged for it.
+    CascadeStats total;
+    total.Merge(range.stats.cascade);
+    total.Merge(topk.stats.cascade);
+    EXPECT_EQ(total.exact_incomplete, total.exact_calls);
+    EXPECT_EQ(total.exact_parallel_runs, 0);
+    EXPECT_EQ(total.exact_parallel_expansions, 0);
+    EXPECT_EQ(total.SettledTotal(), total.candidates);
+#if OTGED_TELEMETRY_COMPILED
+    EXPECT_EQ(after.CounterValue("otged_cascade_exact_incomplete_total") -
+                  before.CounterValue("otged_cascade_exact_incomplete_total"),
+              total.exact_incomplete);
+    EXPECT_EQ(after.CounterValue("otged_exact_parallel_runs_total") -
+                  before.CounterValue("otged_exact_parallel_runs_total"),
+              0);
+#endif
+  }
+
+  // A parallel batch mixing oversized and regular pairs answers each
+  // pair exactly as ExactSearch does, and runs only the regular ones.
+  CascadeOptions copt;
+  copt.parallel_exact_threads = 2;
+  const FilterCascade cascade(copt);
+  const Graph s1 = PowerLawGraph(7, 2, &rng), s2 = PowerLawGraph(8, 2, &rng);
+  const bool big_first = big.NumNodes() <= query.NumNodes();
+  const Graph* b1 = big_first ? &big : &query;
+  const Graph* b2 = big_first ? &query : &big;
+  const std::vector<FilterCascade::ExactBatchRequest> reqs = {
+      {&s1, &s2, 50'000, -1}, {b1, b2, 50'000, 7}, {b1, b2, 50'000, -1},
+      {&s1, &s2, 50'000, 4}};
+  CascadeStats batch_stats, solo_stats;
+  const std::vector<GedSearchResult> got = cascade.ExactSearchBatch(
+      reqs, std::vector<CascadeStats*>(reqs.size(), &batch_stats));
+  ASSERT_EQ(got.size(), reqs.size());
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    const GedSearchResult want =
+        cascade.ExactSearch(*reqs[i].g1, *reqs[i].g2, reqs[i].budget,
+                            reqs[i].initial_upper_bound, &solo_stats);
+    EXPECT_EQ(got[i].ged, want.ged) << "pair " << i;
+    EXPECT_EQ(got[i].matching, want.matching) << "pair " << i;
+    EXPECT_EQ(got[i].exact, want.exact) << "pair " << i;
+    EXPECT_EQ(got[i].expansions, want.expansions) << "pair " << i;
+  }
+  EXPECT_FALSE(got[1].exact);
+  EXPECT_EQ(got[1].ged, 7);  // the seed bound beats the identity's cost
+  EXPECT_FALSE(got[2].exact);
+  EXPECT_EQ(EditCostFromMatching(*b1, *b2, got[2].matching), got[2].ged);
+  EXPECT_EQ(batch_stats.exact_parallel_runs, 2);
+  EXPECT_EQ(solo_stats.exact_parallel_runs, 2);
+}
+
 }  // namespace
 }  // namespace otged
