@@ -1,7 +1,7 @@
 /// \file bench_search_throughput.cpp
 /// \brief Serving benchmark for the filter–verify search engine.
 ///
-/// Five sections:
+/// Six sections:
 ///   1. PRUNING    — range queries over a power-law corpus; reports the
 ///                   fraction of candidate pairs dismissed by the
 ///                   invariant + BRANCH tiers, i.e. before any OT or
@@ -16,15 +16,6 @@
 ///   5. WARM CACHE — the query set served twice on one engine; the
 ///                   second pass answers proven-exact pairs from the
 ///                   bound cache, reporting hit counts and speedup.
-///   7. PARALLEL EXACT — an exact-heavy workload (unlabeled near-
-///                   duplicate corpus, OT tier off so bound gaps land in
-///                   tier 4) served by engines with
-///                   `parallel_exact_threads` 0 vs 4. Hits must be
-///                   byte-identical (hard gate: the parallel verifier
-///                   proves the same distances); the p99 speedup is
-///                   reported, PASS at >= 2x only on machines with >= 4
-///                   hardware threads (informational WARN below that —
-///                   a single-core host cannot show a real speedup).
 ///   6. SLO        — per-query latency distribution under a serving loop
 ///                   with an explicit repeat mix: a cold phase serves
 ///                   every SLO query once (filling the bound cache),
@@ -51,7 +42,6 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "exact/branch_and_bound.hpp"
@@ -349,89 +339,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("  perf record written to %s\n", out_path.c_str());
-  }
-
-  // -------------------------------------------- 7. parallel exact verify
-  // Exact-heavy workload: unlabeled near-duplicates keep the invariant
-  // and label bounds weak, and with the OT tier off every bound gap must
-  // be settled by tier-4 branch and bound. Hits are a hard equality
-  // gate — the deterministic parallel verifier proves the same distances
-  // as the sequential solver — while the p99 speedup is hardware-bound:
-  // it can only PASS on a machine with >= 4 hardware threads.
-  std::printf("\n== parallel exact verify: exact-heavy workload, "
-              "parallel_exact_threads 0 vs 4 ==\n");
-  {
-    Rng prng(131);
-    const int hard_queries_n = smoke ? 3 : 6;
-    const int dups_per_query = smoke ? 3 : 8;
-    const int hard_tau = 4;
-    GraphStore hard;
-    std::vector<Graph> hard_queries;
-    for (int q = 0; q < hard_queries_n; ++q) {
-      Graph base = LinuxLikeGraph(&prng, 8, 10);
-      hard_queries.push_back(base);
-      for (int v = 0; v < dups_per_query; ++v) {
-        SyntheticEditOptions sopt;
-        sopt.num_edits = 1 + v % 4;
-        sopt.allow_relabel = false;
-        hard.Add(SyntheticEditPair(base, sopt, &prng).g2);
-      }
-    }
-    for (int i = 0; i < (smoke ? 10 : 40); ++i)
-      hard.Add(LinuxLikeGraph(&prng, 7, 10));
-
-    EngineOptions hopt;
-    hopt.num_threads = 2;
-    hopt.cascade.use_ot_verify = false;
-    hopt.cascade.exact_budget = 2'000'000;
-    const auto serve = [&](int exact_threads,
-                           std::vector<std::vector<RangeHit>>* hits,
-                           std::vector<double>* lat, CascadeStats* sum) {
-      EngineOptions eopt = hopt;
-      eopt.cascade.parallel_exact_threads = exact_threads;
-      QueryEngine e(&hard, eopt);
-      for (const Graph& q : hard_queries) {
-        RangeResult res = e.Range(q, hard_tau);
-        hits->push_back(res.hits);
-        lat->push_back(res.stats.wall_ms);
-        sum->Merge(res.stats.cascade);
-      }
-    };
-    std::vector<std::vector<RangeHit>> seq_hits, par_hits;
-    std::vector<double> seq_lat, par_lat;
-    CascadeStats seq_sum, par_sum;
-    serve(0, &seq_hits, &seq_lat, &seq_sum);
-    serve(4, &par_hits, &par_lat, &par_sum);
-
-    bool identical = seq_hits.size() == par_hits.size();
-    for (size_t q = 0; identical && q < seq_hits.size(); ++q) {
-      identical = seq_hits[q].size() == par_hits[q].size();
-      for (size_t i = 0; identical && i < seq_hits[q].size(); ++i)
-        identical = seq_hits[q][i].id == par_hits[q][i].id &&
-                    seq_hits[q][i].ged == par_hits[q][i].ged &&
-                    seq_hits[q][i].exact_distance ==
-                        par_hits[q][i].exact_distance;
-    }
-    std::printf("  workload: %zu queries x %d graphs | %ld exact calls "
-                "(%ld starved) | %ld parallel runs, %ld subtrees\n",
-                hard_queries.size(), hard.Size(), par_sum.exact_calls,
-                par_sum.exact_incomplete, par_sum.exact_parallel_runs,
-                par_sum.exact_parallel_subtrees);
-    std::printf("  hit equality (id, ged, exact flag): [%s]\n",
-                identical ? "PASS byte-identical" : "FAIL");
-    const double seq_p99 = telemetry::PercentileOf(seq_lat, 0.99);
-    const double par_p99 = telemetry::PercentileOf(par_lat, 0.99);
-    const double speedup = par_p99 > 0.0 ? seq_p99 / par_p99 : 0.0;
-    const unsigned hw = std::thread::hardware_concurrency();
-    const char* verdict = hw >= 4
-                              ? (speedup >= 2.0 ? "PASS >=2x"
-                                                : "WARN <2x on >=4 cores")
-                              : "WARN <4 hardware threads, speedup not "
-                                "measurable";
-    std::printf("  p99 latency: sequential %.2f ms | parallel %.2f ms | "
-                "speedup %.2fx  [%s]\n",
-                seq_p99, par_p99, speedup, verdict);
-    if (!identical) return 1;  // hard gate: determinism before speed
   }
   return 0;
 }

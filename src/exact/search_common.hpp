@@ -11,12 +11,12 @@
 ///   DfsState     one mutable do/undo state in structure-of-arrays
 ///                layout (flat map1to2/map2to1, incremental label
 ///                remainders and edge counters) for the depth-first
-///                branch-and-bound drivers: Push/Pop are O(1) via
+///                branch-and-bound: Push/Pop are O(1) via
 ///                bit-parallel neighbor masks and the heuristic is O(1),
 ///                against the O(n + m) recompute SearchState pays per
 ///                Child.
 ///
-/// The branch-and-bound drivers generate children through one routine,
+/// The branch-and-bound generates children through one routine,
 /// Searcher::RankChildren. It builds the image mask S of the expanded
 /// node's mapped neighbours once, then prices every free G2 node with a
 /// few popcounts (O(1) per child on unlabeled edges; edge-labeled pairs
@@ -109,7 +109,7 @@ struct SearchState {
 };
 
 /// Mutable depth-first state in structure-of-arrays layout. One DfsState
-/// serves a whole DFS: the branch-and-bound drivers Push/Pop along the
+/// serves a whole DFS: the branch-and-bound Pushes/Pops along the
 /// current path instead of copying states, and every quantity the
 /// admissible heuristic needs (label remainders, remaining-edge counts)
 /// is maintained incrementally. `path_v`/`path_delta` are the undo log.
@@ -304,7 +304,7 @@ class Searcher {
   /// The children of the node at s.depth whose bound f = g + delta + h
   /// lies below `bound`, as packed keys `delta << 6 | v` in ascending
   /// (delta, v) order. Children at or above the bound are dropped before
-  /// ordering: the drivers' bounds only ever decrease, so they would
+  /// ordering: the driver's bound only ever decreases, so it would
   /// prune exactly those children anyway, and the surviving order is the
   /// one a full (delta, v) sort would give. Each child's f comes from
   /// the counters Push would leave, without a Push: the surplus after

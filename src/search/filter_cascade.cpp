@@ -6,7 +6,6 @@
 
 #include "assignment/kbest.hpp"
 #include "exact/branch_and_bound.hpp"
-#include "exact/parallel_bnb.hpp"
 #include "heuristics/bipartite.hpp"
 #include "heuristics/lower_bounds.hpp"
 #include "models/gedgw.hpp"
@@ -27,12 +26,6 @@ void CascadeStats::Merge(const CascadeStats& o) {
   exact_calls += o.exact_calls;
   exact_incomplete += o.exact_incomplete;
   cache_hits += o.cache_hits;
-  exact_parallel_runs += o.exact_parallel_runs;
-  exact_parallel_expansions += o.exact_parallel_expansions;
-  exact_parallel_subtrees += o.exact_parallel_subtrees;
-  exact_parallel_rounds += o.exact_parallel_rounds;
-  exact_parallel_incumbent_updates += o.exact_parallel_incumbent_updates;
-  exact_parallel_batches += o.exact_parallel_batches;
 }
 
 double CascadeStats::PrunedBeforeSolvers() const {
@@ -42,11 +35,7 @@ double CascadeStats::PrunedBeforeSolvers() const {
          static_cast<double>(candidates);
 }
 
-FilterCascade::FilterCascade(const CascadeOptions& opt) : opt_(opt) {
-  if (opt_.parallel_exact_threads > 1)
-    exact_pool_ =
-        std::make_unique<WorkStealingPool>(opt_.parallel_exact_threads);
-}
+FilterCascade::FilterCascade(const CascadeOptions& opt) : opt_(opt) {}
 
 #if OTGED_TELEMETRY_COMPILED
 namespace {
@@ -63,12 +52,6 @@ struct CascadeMetrics {
   telemetry::Counter* ot_calls;
   telemetry::Counter* exact_calls;
   telemetry::Counter* exact_incomplete;
-  telemetry::Counter* parallel_runs;
-  telemetry::Counter* parallel_expansions;
-  telemetry::Counter* parallel_subtrees;
-  telemetry::Counter* parallel_rounds;
-  telemetry::Counter* parallel_incumbent_updates;
-  telemetry::Counter* parallel_batches;
   telemetry::Histogram* tier_latency[5];
 };
 
@@ -106,24 +89,6 @@ const CascadeMetrics& Metrics() {
     mm->exact_incomplete =
         &reg.GetCounter("otged_cascade_exact_incomplete_total",
                         "exact runs that exhausted their visit budget");
-    mm->parallel_runs =
-        &reg.GetCounter("otged_exact_parallel_runs_total",
-                        "parallel branch-and-bound invocations");
-    mm->parallel_expansions =
-        &reg.GetCounter("otged_exact_parallel_expansions_total",
-                        "search-tree nodes expanded by parallel runs");
-    mm->parallel_subtrees =
-        &reg.GetCounter("otged_exact_parallel_subtrees_total",
-                        "root subtrees distributed over the exact pool");
-    mm->parallel_rounds =
-        &reg.GetCounter("otged_exact_parallel_rounds_total",
-                        "round barriers executed by parallel runs");
-    mm->parallel_incumbent_updates = &reg.GetCounter(
-        "otged_exact_parallel_incumbent_updates_total",
-        "stable-incumbent improvements folded at round barriers");
-    mm->parallel_batches = &reg.GetCounter(
-        "otged_exact_parallel_batches_total",
-        "multi-pair batch dispatches onto the exact pool");
     for (int t = 0; t < 5; ++t)
       mm->tier_latency[t] = &reg.GetHistogram(
           std::string("otged_cascade_tier_latency_us{tier=\"") + kTier[t] +
@@ -143,8 +108,7 @@ CascadeVerdict FilterCascade::BoundedDistance(const Graph& query,
                                               const GraphInvariants& gi,
                                               int tau, bool need_distance,
                                               CascadeStats* stats,
-                                              CascadeProbe* probe,
-                                              DeferredExact* defer) const {
+                                              CascadeProbe* probe) const {
   OTGED_DCHECK(stats != nullptr);
   stats->candidates++;
 #if OTGED_TELEMETRY_COMPILED
@@ -316,22 +280,7 @@ CascadeVerdict FilterCascade::BoundedDistance(const Graph& query,
     Metrics().exact_calls->Inc();
   }
 #endif
-  if (defer != nullptr) {
-    // Hand the pair back for batch verification. Escalation is already
-    // charged above; FinishDeferredExact charges the decision counters,
-    // so the split stays counter-for-counter identical to running here.
-    defer->pending = true;
-    defer->g1 = g1;
-    defer->g2 = g2;
-    defer->tau = tau;
-    defer->lb = lb;
-    defer->ub = ub;
-    v.ged = ub;  // placeholder — the caller must discard this verdict
-    v.tier = CascadeTier::kExact;
-    mark(CascadeTier::kExact);
-    return finish(v);
-  }
-  GedSearchResult exact = ExactSearch(*g1, *g2, opt_.exact_budget, ub, stats);
+  GedSearchResult exact = ExactSearch(*g1, *g2, opt_.exact_budget, ub);
   exact_expansions = exact.expansions;
   if (!exact.exact) {
     stats->exact_incomplete++;
@@ -356,44 +305,19 @@ CascadeVerdict FilterCascade::BoundedDistance(const Graph& query,
   return finish(v);
 }
 
-CascadeVerdict FilterCascade::FinishDeferredExact(
-    const DeferredExact& defer, const GedSearchResult& exact,
-    CascadeStats* stats) const {
-  OTGED_DCHECK(stats != nullptr && defer.pending);
-#if OTGED_TELEMETRY_COMPILED
-  const bool metered = telemetry::Enabled();
-#endif
-  if (!exact.exact) {
-    stats->exact_incomplete++;
-#if OTGED_TELEMETRY_COMPILED
-    if (metered) Metrics().exact_incomplete->Inc();
-#endif
+GedSearchResult FilterCascade::ExactSearch(const Graph& g1, const Graph& g2,
+                                           long budget,
+                                           int initial_upper_bound) const {
+  if (g2.NumNodes() <= kMaxExactNodes) {
+    BnbOptions bnb;
+    bnb.max_visits = budget;
+    bnb.initial_upper_bound = initial_upper_bound;
+    return BranchAndBoundGed(g1, g2, bnb);
   }
-  stats->decided_exact++;
-#if OTGED_TELEMETRY_COMPILED
-  if (metered) Metrics().decided[2]->Inc();
-#endif
-  // Same no-false-dismissals rule as the inline tier: on budget
-  // exhaustion the distance is only a feasible upper bound, so keep the
-  // candidate and flag it unproven.
-  CascadeVerdict v;
-  v.within = exact.ged <= defer.tau || !exact.exact;
-  v.ged = exact.ged;
-  v.exact_distance = exact.exact;
-  v.tier = CascadeTier::kExact;
-  return v;
-}
-
-namespace {
-
-/// The answer for a pair over kMaxExactNodes nodes, which the exact
-/// solvers cannot take (they keep G2's used nodes in one 64-bit mask):
-/// its best upper bound, unproven, after 0 expansions. That is the
-/// caller's seed bound, or the identity matching's cost (with the
-/// matching as its witness) when there is no seed or the identity is
-/// cheaper.
-GedSearchResult UnsearchedExact(const Graph& g1, const Graph& g2,
-                                int initial_upper_bound) {
+  // Too large for the solver (it keeps G2's used nodes in one 64-bit
+  // mask): the best upper bound, unproven, after 0 expansions — the seed,
+  // or the identity matching's cost (with the matching as its witness)
+  // when there is no seed or the identity is cheaper.
   GedSearchResult res;
   res.exact = false;
   res.expansions = 0;
@@ -406,124 +330,6 @@ GedSearchResult UnsearchedExact(const Graph& g1, const Graph& g2,
     res.matching = std::move(identity);
   }
   return res;
-}
-
-}  // namespace
-
-GedSearchResult FilterCascade::ExactSearch(const Graph& g1, const Graph& g2,
-                                           long budget,
-                                           int initial_upper_bound,
-                                           CascadeStats* stats) const {
-  OTGED_DCHECK(stats != nullptr);
-  if (g2.NumNodes() > kMaxExactNodes)
-    return UnsearchedExact(g1, g2, initial_upper_bound);
-  if (exact_pool_ == nullptr) {
-    BnbOptions bnb;
-    bnb.max_visits = budget;
-    bnb.initial_upper_bound = initial_upper_bound;
-    return BranchAndBoundGed(g1, g2, bnb);
-  }
-  ParallelBnbOptions par;
-  par.max_expansions = budget;
-  par.initial_upper_bound = initial_upper_bound;
-  ParallelBnbStats ps;
-  GedSearchResult res;
-  {
-    // The private pool is non-reentrant, so concurrent hard pairs take
-    // turns — each still fans its own search tree over every exact
-    // thread, which is the point: one hard pair no longer pins a core.
-    MutexLock exact_lock(exact_mu_);
-    res = ParallelBranchAndBoundGed(g1, g2, exact_pool_.get(), par, &ps);
-  }
-  stats->exact_parallel_runs++;
-  stats->exact_parallel_expansions += res.expansions;
-  stats->exact_parallel_subtrees += ps.subtrees;
-  stats->exact_parallel_rounds += ps.rounds;
-  stats->exact_parallel_incumbent_updates += ps.incumbent_updates;
-#if OTGED_TELEMETRY_COMPILED
-  if (telemetry::Enabled()) {
-    const CascadeMetrics& m = Metrics();
-    m.parallel_runs->Inc();
-    m.parallel_expansions->Inc(res.expansions);
-    m.parallel_subtrees->Inc(ps.subtrees);
-    m.parallel_rounds->Inc(ps.rounds);
-    m.parallel_incumbent_updates->Inc(ps.incumbent_updates);
-  }
-#endif
-  return res;
-}
-
-std::vector<GedSearchResult> FilterCascade::ExactSearchBatch(
-    const std::vector<ExactBatchRequest>& items,
-    const std::vector<CascadeStats*>& stats) const {
-  OTGED_CHECK(items.size() == stats.size());
-  std::vector<GedSearchResult> out;
-  out.reserve(items.size());
-  if (items.empty()) return out;
-  if (exact_pool_ == nullptr) {
-    // Sequential fallback: per-pair dispatch, identical to looping
-    // ExactSearch (no parallel counters move on this path either).
-    for (size_t i = 0; i < items.size(); ++i)
-      out.push_back(ExactSearch(*items[i].g1, *items[i].g2, items[i].budget,
-                                items[i].initial_upper_bound, stats[i]));
-    return out;
-  }
-  // Oversized pairs are answered here, exactly as ExactSearch answers
-  // them; the rest form the batch (batch[j] solves items[searched[j]]).
-  out.resize(items.size());
-  std::vector<ParallelBnbBatchItem> batch;
-  std::vector<size_t> searched;
-  batch.reserve(items.size());
-  searched.reserve(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    const ExactBatchRequest& it = items[i];
-    if (it.g2->NumNodes() > kMaxExactNodes) {
-      out[i] = UnsearchedExact(*it.g1, *it.g2, it.initial_upper_bound);
-      continue;
-    }
-    ParallelBnbBatchItem b;
-    b.g1 = it.g1;
-    b.g2 = it.g2;
-    b.opt.max_expansions = it.budget;
-    b.opt.initial_upper_bound = it.initial_upper_bound;
-    batch.push_back(b);
-    searched.push_back(i);
-  }
-  if (batch.empty()) return out;
-  std::vector<GedSearchResult> solved;
-  std::vector<ParallelBnbStats> ps;
-  {
-    // One pool acquisition for the whole batch: all pairs' subtrees share
-    // each round's ParallelFor, so a pair down to straggler subtrees no
-    // longer leaves exact threads idle while other hard pairs wait.
-    MutexLock exact_lock(exact_mu_);
-    solved = ParallelBranchAndBoundGedBatch(batch, exact_pool_.get(), &ps);
-  }
-  stats[0]->exact_parallel_batches++;
-  for (size_t j = 0; j < batch.size(); ++j) {
-    CascadeStats* st = stats[searched[j]];
-    st->exact_parallel_runs++;
-    st->exact_parallel_expansions += solved[j].expansions;
-    st->exact_parallel_subtrees += ps[j].subtrees;
-    st->exact_parallel_rounds += ps[j].rounds;
-    st->exact_parallel_incumbent_updates += ps[j].incumbent_updates;
-  }
-#if OTGED_TELEMETRY_COMPILED
-  if (telemetry::Enabled()) {
-    const CascadeMetrics& m = Metrics();
-    m.parallel_batches->Inc();
-    m.parallel_runs->Inc(static_cast<long>(batch.size()));
-    for (size_t j = 0; j < batch.size(); ++j) {
-      m.parallel_expansions->Inc(solved[j].expansions);
-      m.parallel_subtrees->Inc(ps[j].subtrees);
-      m.parallel_rounds->Inc(ps[j].rounds);
-      m.parallel_incumbent_updates->Inc(ps[j].incumbent_updates);
-    }
-  }
-#endif
-  for (size_t j = 0; j < batch.size(); ++j)
-    out[searched[j]] = std::move(solved[j]);
-  return out;
 }
 
 }  // namespace otged

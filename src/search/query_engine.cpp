@@ -136,8 +136,7 @@ CascadeVerdict QueryEngine::EvalPair(const Graph& query,
                                      const QueryContext& qc,
                                      const StoreSnapshot& snap, int slot,
                                      int tau, bool need_distance,
-                                     CascadeStats* stats,
-                                     DeferredEval* dctx) const {
+                                     CascadeStats* stats) const {
   const int gid = snap.id(slot);
   const bool tracing =
       OTGED_TELEMETRY_ON() && telemetry::GlobalTrace().enabled();
@@ -176,17 +175,7 @@ CascadeVerdict QueryEngine::EvalPair(const Graph& query,
   CascadeProbe probe;
   CascadeVerdict v = cascade_.BoundedDistance(
       query, qc.qi, snap.graph(slot), snap.invariants(slot), tau,
-      need_distance, stats, tracing ? &probe : nullptr,
-      dctx != nullptr ? &dctx->d : nullptr);
-  if (dctx != nullptr && dctx->d.pending) {
-    // Deferred to the batch: stash what FinishDeferredPair needs and
-    // hand back the placeholder (the caller overwrites it after the
-    // batch solve).
-    dctx->tracing = tracing;
-    dctx->t0 = t0;
-    if (tracing) dctx->probe = probe;
-    return v;
-  }
+      need_distance, stats, tracing ? &probe : nullptr);
   if (use_cache_ && v.exact_distance) cache_.Insert(qc.fp, gid, v.ged);
   if (tracing) {
     telemetry::TraceEvent e;
@@ -204,66 +193,6 @@ CascadeVerdict QueryEngine::EvalPair(const Graph& query,
     telemetry::GlobalTrace().Record(e);
   }
   return v;
-}
-
-CascadeVerdict QueryEngine::FinishDeferredPair(const QueryContext& qc,
-                                               const StoreSnapshot& snap,
-                                               int slot,
-                                               const DeferredEval& dctx,
-                                               const GedSearchResult& exact,
-                                               CascadeStats* stats) const {
-  CascadeVerdict v = cascade_.FinishDeferredExact(dctx.d, exact, stats);
-  const int gid = snap.id(slot);
-  if (use_cache_ && v.exact_distance) cache_.Insert(qc.fp, gid, v.ged);
-  if (dctx.tracing) {
-    telemetry::TraceEvent e;
-    e.query_id = qc.trace_id;
-    e.graph_id = gid;
-    e.tier = static_cast<int>(v.tier);
-    e.lb = dctx.d.lb;
-    e.ub = v.ged;
-    e.ged = v.ged;
-    e.within = v.within;
-    e.exact = v.exact_distance;
-    e.exact_expansions = exact.expansions;
-    // tier_us[4] stays ~0: the exact tier ran inside a shared batch, so
-    // its wall time is not attributable to this one pair. total_us does
-    // include the wait for the whole batch.
-    std::copy(dctx.probe.tier_us, dctx.probe.tier_us + 5, e.tier_us);
-    e.total_us = telemetry::NowUs() - dctx.t0;
-    telemetry::GlobalTrace().Record(e);
-  }
-  return v;
-}
-
-void QueryEngine::ResolveDeferred(
-    const std::vector<std::pair<int, int>>& tasks,
-    const std::vector<DeferredEval>& defers, const StoreSnapshot& snap,
-    const std::vector<QueryContext>& ctx, std::vector<CascadeStats>* stats,
-    std::vector<CascadeVerdict>* verdicts) const {
-  std::vector<size_t> idx;
-  for (size_t t = 0; t < defers.size(); ++t)
-    if (defers[t].d.pending) idx.push_back(t);
-  if (idx.empty()) return;
-  std::vector<FilterCascade::ExactBatchRequest> reqs;
-  std::vector<CascadeStats*> sinks;
-  reqs.reserve(idx.size());
-  sinks.reserve(idx.size());
-  const long budget = cascade_.options().exact_budget;
-  for (const size_t t : idx) {
-    const DeferredExact& d = defers[t].d;
-    reqs.push_back({d.g1, d.g2, budget, d.ub});
-    sinks.push_back(&(*stats)[static_cast<size_t>(tasks[t].first)]);
-  }
-  const std::vector<GedSearchResult> ex =
-      cascade_.ExactSearchBatch(reqs, sinks);
-  for (size_t i = 0; i < idx.size(); ++i) {
-    const size_t t = idx[i];
-    const auto [u, slot] = tasks[t];
-    (*verdicts)[t] = FinishDeferredPair(
-        ctx[static_cast<size_t>(u)], snap, slot, defers[t], ex[i],
-        &(*stats)[static_cast<size_t>(u)]);
-  }
 }
 
 std::vector<RangeResult> QueryEngine::RangeBatchLocked(
@@ -317,27 +246,15 @@ std::vector<RangeResult> QueryEngine::RangeBatchLocked(
   std::vector<CascadeVerdict> verdicts(tasks.size());
   std::vector<std::vector<CascadeStats>> worker_stats(
       pool_->num_threads(), std::vector<CascadeStats>(nu));
-  // With the parallel exact verifier, pairs escalating to tier 4 are
-  // deferred out of this pass (they would otherwise take turns on the
-  // private exact pool) and solved afterwards as ONE multi-pair batch.
-  const bool defer_exact = cascade_.options().parallel_exact_threads > 1;
-  std::vector<DeferredEval> defers(defer_exact ? tasks.size() : 0);
   pool_->ParallelFor(static_cast<int64_t>(tasks.size()), /*grain=*/4,
                      [&](int64_t t, int worker) {
                        const auto [u, slot] = tasks[t];
                        verdicts[t] = EvalPair(*queries[uniq[u]], ctx[u],
                                               *snap, slot, tau,
                                               /*need_distance=*/false,
-                                              &worker_stats[worker][u],
-                                              defer_exact ? &defers[t]
-                                                          : nullptr);
+                                              &worker_stats[worker][u]);
                        wall_clock.MarkDone(worker, u);
                      });
-  if (defer_exact) {
-    ResolveDeferred(tasks, defers, *snap, ctx, &worker_stats[0], &verdicts);
-    for (size_t t = 0; t < defers.size(); ++t)
-      if (defers[t].d.pending) wall_clock.MarkDone(0, tasks[t].first);
-  }
   const double wall = ElapsedMs(start);
   OTGED_COUNT_N("otged_queries_total{kind=\"range\"}",
                 "range queries served", nq);
@@ -476,19 +393,6 @@ std::vector<TopKResult> QueryEngine::TopKBatchLocked(
   // cap. Together they collapse the phase-C range by orders of magnitude
   // on clustered corpora.
   std::vector<int> seed_ub(static_cast<size_t>(nu) * kp);
-  std::vector<std::vector<CascadeStats>> worker_stats(
-      pool_->num_threads(), std::vector<CascadeStats>(nu));
-  // With the parallel exact verifier, per-seed refinements would take
-  // turns on the private exact pool; batch mode instead collects every
-  // seed pair needing refinement during the Classic pass and solves them
-  // all in one multi-pair batch. Results (and the cap) are byte-identical
-  // — ParallelBranchAndBoundGedBatch guarantees per-pair equality.
-  const bool batch_refine = cascade_.options().parallel_exact_threads > 1 &&
-                            topk_refine_budget_ > 0;
-  std::vector<std::pair<const Graph*, const Graph*>> refine(
-      batch_refine ? static_cast<size_t>(nu) * kp
-                   : 0,
-      {nullptr, nullptr});
   pool_->ParallelFor(
       static_cast<int64_t>(nu) * kp, /*grain=*/1,
       [&](int64_t t, int worker) {
@@ -505,49 +409,18 @@ std::vector<TopKResult> QueryEngine::TopKBatchLocked(
         auto [g1, g2] = OrderBySize(*queries[uniq[u]], snap->graph(slot));
         int ub = ClassicGed(*g1, *g2).ged;
         if (topk_refine_budget_ > 0) {
-          if (batch_refine) {
-            refine[static_cast<size_t>(t)] = {g1, g2};
-          } else {
-            // Routed through the cascade's exact dispatch so the
-            // refinement shares the parallel verifier (and its run
-            // counters land in this query's stats; refinement is not an
-            // exact_calls tier-4 decision, so only the parallel-run
-            // fields move).
-            GedSearchResult r =
-                cascade_.ExactSearch(*g1, *g2, topk_refine_budget_, ub,
-                                     &worker_stats[worker][u]);
-            ub = r.ged;
-            if (use_cache_ && r.exact)
-              cache_.Insert(ctx[u].fp, snap->id(slot), r.ged);
-          }
+          // Routed through the cascade's tier-4 entry point, which owns
+          // the answer for pairs too large to search. Refinement is not
+          // an exact_calls tier-4 decision, so no counter moves.
+          GedSearchResult r =
+              cascade_.ExactSearch(*g1, *g2, topk_refine_budget_, ub);
+          ub = r.ged;
+          if (use_cache_ && r.exact)
+            cache_.Insert(ctx[u].fp, snap->id(slot), r.ged);
         }
         seed_ub[t] = ub;
         wall_clock.MarkDone(worker, u);
       });
-  if (batch_refine) {
-    std::vector<size_t> idx;
-    std::vector<FilterCascade::ExactBatchRequest> reqs;
-    std::vector<CascadeStats*> sinks;
-    for (size_t t = 0; t < refine.size(); ++t) {
-      if (refine[t].first == nullptr) continue;  // cache hit or no refine
-      idx.push_back(t);
-      reqs.push_back({refine[t].first, refine[t].second,
-                      topk_refine_budget_, seed_ub[t]});
-      sinks.push_back(&worker_stats[0][t / static_cast<size_t>(kp)]);
-    }
-    if (!reqs.empty()) {
-      const std::vector<GedSearchResult> ex =
-          cascade_.ExactSearchBatch(reqs, sinks);
-      for (size_t i = 0; i < idx.size(); ++i) {
-        const size_t t = idx[i];
-        const int u = static_cast<int>(t / static_cast<size_t>(kp));
-        seed_ub[t] = ex[i].ged;
-        if (use_cache_ && ex[i].exact)
-          cache_.Insert(ctx[u].fp, snap->id(seeds[t]), ex[i].ged);
-        wall_clock.MarkDone(0, u);
-      }
-    }
-  }
   std::vector<int> tau0(nu);
   for (int u = 0; u < nu; ++u) {
     std::vector<int> row(seed_ub.begin() + static_cast<size_t>(u) * kp,
@@ -586,24 +459,17 @@ std::vector<TopKResult> QueryEngine::TopKBatchLocked(
     }
   }
   std::vector<CascadeVerdict> verdicts(tasks.size());
-  const bool defer_exact = cascade_.options().parallel_exact_threads > 1;
-  std::vector<DeferredEval> defers(defer_exact ? tasks.size() : 0);
+  std::vector<std::vector<CascadeStats>> worker_stats(
+      pool_->num_threads(), std::vector<CascadeStats>(nu));
   pool_->ParallelFor(static_cast<int64_t>(tasks.size()), /*grain=*/2,
                      [&](int64_t t, int worker) {
                        const auto [u, slot] = tasks[t];
                        verdicts[t] = EvalPair(*queries[uniq[u]], ctx[u],
                                               *snap, slot, tau0[u],
                                               /*need_distance=*/true,
-                                              &worker_stats[worker][u],
-                                              defer_exact ? &defers[t]
-                                                          : nullptr);
+                                              &worker_stats[worker][u]);
                        wall_clock.MarkDone(worker, u);
                      });
-  if (defer_exact) {
-    ResolveDeferred(tasks, defers, *snap, ctx, &worker_stats[0], &verdicts);
-    for (size_t t = 0; t < defers.size(); ++t)
-      if (defers[t].d.pending) wall_clock.MarkDone(0, tasks[t].first);
-  }
   const double wall = ElapsedMs(start);
   OTGED_COUNT_N("otged_queries_total{kind=\"topk\"}",
                 "top-k queries served", nq);

@@ -67,13 +67,11 @@ struct EngineOptions {
   /// by the k seeds' upper bounds, so a loose greedy bound on one seed
   /// drags in a large slice of the corpus. Each seed pair therefore
   /// gets a budgeted branch-and-bound refinement (node-expansion budget
-  /// below; 0 disables; runs the cascade's parallel exact verifier
-  /// when `cascade.parallel_exact_threads` > 1) before the cap is
-  /// taken — the incumbent it returns is a feasible edit path, so the
-  /// cap stays admissible and
-  /// results are byte-identical, only cheaper. k seeds per query pay
-  /// this; the collapsed verification set repays it at any real corpus
-  /// size.
+  /// below; 0 disables; the same FilterCascade::ExactSearch tier 4 uses)
+  /// before the cap is taken — the incumbent it returns is a feasible
+  /// edit path, so the cap stays admissible and results are
+  /// byte-identical, only cheaper. k seeds per query pay this; the
+  /// collapsed verification set repays it at any real corpus size.
   long topk_seed_refine_budget = 50'000;
   /// How many low-bound candidates beyond k get a refined upper bound
   /// before the cap is taken. The k-th *smallest* refined bound over the
@@ -186,45 +184,11 @@ class QueryEngine {
     uint64_t trace_id = 0;  ///< process-unique id stamped on TraceEvents
   };
 
-  /// Context of one deferred tier-4 evaluation: the cascade's deferral
-  /// plus what EvalPair stashed so the trace can be completed after the
-  /// batch solve.
-  struct DeferredEval {
-    DeferredExact d;
-    CascadeProbe probe;
-    double t0 = 0.0;
-    bool tracing = false;
-  };
-
   /// Answers one (query, snapshot slot) pair: bound cache first, then the
-  /// cascade; proven-exact outcomes are written back to the cache. With
-  /// `dctx` non-null a pair the cheap tiers cannot settle is deferred
-  /// (dctx->d.pending set, placeholder verdict returned) for a later
-  /// ResolveDeferred batch instead of entering tier 4 here.
+  /// cascade; proven-exact outcomes are written back to the cache.
   CascadeVerdict EvalPair(const Graph& query, const QueryContext& qc,
                           const StoreSnapshot& snap, int slot, int tau,
-                          bool need_distance, CascadeStats* stats,
-                          DeferredEval* dctx = nullptr) const;
-
-  /// Completes one deferred pair from the batch solver's result: verdict
-  /// assembly (FinishDeferredExact), bound-cache write-back, trace event.
-  CascadeVerdict FinishDeferredPair(const QueryContext& qc,
-                                    const StoreSnapshot& snap, int slot,
-                                    const DeferredEval& dctx,
-                                    const GedSearchResult& exact,
-                                    CascadeStats* stats) const;
-
-  /// Solves every pending deferral of one pool pass in a single
-  /// ExactSearchBatch — all queries' hard pairs share the exact pool's
-  /// rounds — and writes the completed verdicts back into their slots.
-  /// `tasks[t]` gives the (unique query, slot) behind defers[t]; stats
-  /// are attributed per unique query into `stats[u]`.
-  void ResolveDeferred(const std::vector<std::pair<int, int>>& tasks,
-                       const std::vector<DeferredEval>& defers,
-                       const StoreSnapshot& snap,
-                       const std::vector<QueryContext>& ctx,
-                       std::vector<CascadeStats>* stats,
-                       std::vector<CascadeVerdict>* verdicts) const;
+                          bool need_distance, CascadeStats* stats) const;
 
   /// Pins the current snapshot, first draining the store's erase log into
   /// cache invalidations.

@@ -3,8 +3,7 @@
 /// must keep candidates conservatively (no false dismissals, ever), must
 /// never claim an unproven distance as exact, and must be visible in both
 /// CascadeStats::exact_incomplete and the global
-/// otged_cascade_exact_incomplete_total counter — plus reconciliation of
-/// the otged_exact_parallel_* counters when the parallel verifier runs.
+/// otged_cascade_exact_incomplete_total counter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -160,76 +159,9 @@ TEST(ExactBudgetTest, StarvedEngineKeepsEveryTrueHitAndReconciles) {
 #endif
 }
 
-TEST(ExactBudgetTest, ParallelExactCountersReconcile) {
-  Rng rng(57);
-  Graph query = AidsLikeGraph(&rng, 7, 9);
-  std::vector<Graph> corpus;
-  for (int i = 0; i < 8; ++i) {
-    SyntheticEditOptions eopt;
-    eopt.num_edits = rng.UniformInt(1, 3);
-    eopt.num_labels = 29;
-    corpus.push_back(SyntheticEditPair(query, eopt, &rng).g2);
-  }
-  for (int i = 0; i < 20; ++i) corpus.push_back(AidsLikeGraph(&rng, 5, 9));
-  GraphStore store;
-  store.AddAll(corpus);
-
-  EngineOptions opt;
-  opt.num_threads = 2;
-  opt.cascade.use_ot_verify = false;
-  opt.cascade.parallel_exact_threads = 2;
-  QueryEngine engine(&store, opt);
-
-#if OTGED_TELEMETRY_COMPILED
-  telemetry::SetEnabled(true);
-  const telemetry::MetricsSnapshot before =
-      telemetry::Registry().Snapshot();
-#endif
-  CascadeStats total;
-  total.Merge(engine.TopK(query, 4).stats.cascade);
-  total.Merge(engine.Range(query, 3).stats.cascade);
-#if OTGED_TELEMETRY_COMPILED
-  const telemetry::MetricsSnapshot after = telemetry::Registry().Snapshot();
-#endif
-
-  // Top-k seed refinement routes through the parallel verifier too, so
-  // runs can exceed tier-4 exact_calls — never the other way around.
-  EXPECT_GT(total.exact_parallel_runs, 0);
-  EXPECT_GE(total.exact_parallel_runs, total.exact_calls);
-  EXPECT_GT(total.exact_parallel_rounds, 0);
-  // Every parallel run is dispatched inside some multi-pair batch.
-  EXPECT_GT(total.exact_parallel_batches, 0);
-  EXPECT_GE(total.exact_parallel_runs, total.exact_parallel_batches);
-
-#if OTGED_TELEMETRY_COMPILED
-  const struct {
-    const char* counter;
-    long CascadeStats::*field;
-  } kParallelFields[] = {
-      {"otged_exact_parallel_runs_total",
-       &CascadeStats::exact_parallel_runs},
-      {"otged_exact_parallel_expansions_total",
-       &CascadeStats::exact_parallel_expansions},
-      {"otged_exact_parallel_subtrees_total",
-       &CascadeStats::exact_parallel_subtrees},
-      {"otged_exact_parallel_rounds_total",
-       &CascadeStats::exact_parallel_rounds},
-      {"otged_exact_parallel_incumbent_updates_total",
-       &CascadeStats::exact_parallel_incumbent_updates},
-      {"otged_exact_parallel_batches_total",
-       &CascadeStats::exact_parallel_batches},
-  };
-  for (const auto& nf : kParallelFields)
-    EXPECT_EQ(after.CounterValue(nf.counter) - before.CounterValue(nf.counter),
-              total.*nf.field)
-        << nf.counter;
-#endif
-}
-
 // A pair with more nodes than the exact solvers accept (kMaxExactNodes)
 // must not reach the solver: Range and TopK escalate it to tier 4, which
 // answers with the best upper bound, unproven, counted as incomplete.
-// Covers the inline sequential path and the batched parallel one.
 TEST(ExactBudgetTest, OversizedPairIsKeptUnprovenNotSearched) {
   Rng rng(65);
   const Graph big = PowerLawGraph(kMaxExactNodes + 1, 2, &rng);
@@ -242,95 +174,68 @@ TEST(ExactBudgetTest, OversizedPairIsKeptUnprovenNotSearched) {
   GraphStore store;
   store.AddAll({big, PowerLawGraph(8, 2, &rng), PowerLawGraph(9, 2, &rng)});
 
-  for (const int exact_threads : {0, 2}) {
-    EngineOptions opt;
-    opt.num_threads = 2;
-    opt.use_bound_cache = false;
-    opt.cascade.use_ot_verify = false;  // force bound gaps into tier 4
-    opt.cascade.parallel_exact_threads = exact_threads;
-    QueryEngine engine(&store, opt);
+  EngineOptions opt;
+  opt.num_threads = 2;
+  opt.use_bound_cache = false;
+  opt.cascade.use_ot_verify = false;  // force bound gaps into tier 4
+  QueryEngine engine(&store, opt);
 
 #if OTGED_TELEMETRY_COMPILED
-    telemetry::SetEnabled(true);
-    const telemetry::MetricsSnapshot before =
-        telemetry::Registry().Snapshot();
+  telemetry::SetEnabled(true);
+  const telemetry::MetricsSnapshot before = telemetry::Registry().Snapshot();
 #endif
-    // The smallest tau whose range read escalates the big pair.
-    RangeResult range;
-    for (int tau = 0; tau <= 12; ++tau) {
-      range = engine.Range(query, tau);
-      if (range.stats.cascade.exact_calls > 0) break;
-    }
-    const TopKResult topk = engine.TopK(query, 1);
-#if OTGED_TELEMETRY_COMPILED
-    const telemetry::MetricsSnapshot after =
-        telemetry::Registry().Snapshot();
-#endif
-    ASSERT_GT(range.stats.cascade.exact_calls, 0) << "never escalated";
-    ASSERT_GT(topk.stats.cascade.exact_calls, 0) << "never escalated";
-
-    // Kept conservatively and flagged, with a feasible bound as distance.
-    const int big_id = 0;
-    ASSERT_EQ(range.hits.size(), 1u);
-    EXPECT_EQ(range.hits[0].id, big_id);
-    EXPECT_FALSE(range.hits[0].exact_distance);
-    EXPECT_GE(range.hits[0].ged, 0);
-    // Every stored graph pairs with the query above the limit, so the
-    // top-1 distance is some pair's unproven upper bound.
-    ASSERT_EQ(topk.hits.size(), 1u);
-    EXPECT_FALSE(topk.hits[0].exact_distance);
-    EXPECT_GE(topk.hits[0].ged, 0);
-
-    // Every escalation of the big pair counts as incomplete, and no
-    // solver run is charged for it.
-    CascadeStats total;
-    total.Merge(range.stats.cascade);
-    total.Merge(topk.stats.cascade);
-    EXPECT_EQ(total.exact_incomplete, total.exact_calls);
-    EXPECT_EQ(total.exact_parallel_runs, 0);
-    EXPECT_EQ(total.exact_parallel_expansions, 0);
-    EXPECT_EQ(total.SettledTotal(), total.candidates);
-#if OTGED_TELEMETRY_COMPILED
-    EXPECT_EQ(after.CounterValue("otged_cascade_exact_incomplete_total") -
-                  before.CounterValue("otged_cascade_exact_incomplete_total"),
-              total.exact_incomplete);
-    EXPECT_EQ(after.CounterValue("otged_exact_parallel_runs_total") -
-                  before.CounterValue("otged_exact_parallel_runs_total"),
-              0);
-#endif
+  // The smallest tau whose range read escalates the big pair.
+  RangeResult range;
+  for (int tau = 0; tau <= 12; ++tau) {
+    range = engine.Range(query, tau);
+    if (range.stats.cascade.exact_calls > 0) break;
   }
+  const TopKResult topk = engine.TopK(query, 1);
+#if OTGED_TELEMETRY_COMPILED
+  const telemetry::MetricsSnapshot after = telemetry::Registry().Snapshot();
+#endif
+  ASSERT_GT(range.stats.cascade.exact_calls, 0) << "never escalated";
+  ASSERT_GT(topk.stats.cascade.exact_calls, 0) << "never escalated";
 
-  // A parallel batch mixing oversized and regular pairs answers each
-  // pair exactly as ExactSearch does, and runs only the regular ones.
-  CascadeOptions copt;
-  copt.parallel_exact_threads = 2;
-  const FilterCascade cascade(copt);
-  const Graph s1 = PowerLawGraph(7, 2, &rng), s2 = PowerLawGraph(8, 2, &rng);
+  // Kept conservatively and flagged, with a feasible bound as distance.
+  const int big_id = 0;
+  ASSERT_EQ(range.hits.size(), 1u);
+  EXPECT_EQ(range.hits[0].id, big_id);
+  EXPECT_FALSE(range.hits[0].exact_distance);
+  EXPECT_GE(range.hits[0].ged, 0);
+  // Every stored graph pairs with the query above the limit, so the
+  // top-1 distance is some pair's unproven upper bound.
+  ASSERT_EQ(topk.hits.size(), 1u);
+  EXPECT_FALSE(topk.hits[0].exact_distance);
+  EXPECT_GE(topk.hits[0].ged, 0);
+
+  // Every escalation of the big pair counts as incomplete.
+  CascadeStats total;
+  total.Merge(range.stats.cascade);
+  total.Merge(topk.stats.cascade);
+  EXPECT_EQ(total.exact_incomplete, total.exact_calls);
+  EXPECT_EQ(total.SettledTotal(), total.candidates);
+#if OTGED_TELEMETRY_COMPILED
+  EXPECT_EQ(after.CounterValue("otged_cascade_exact_incomplete_total") -
+                before.CounterValue("otged_cascade_exact_incomplete_total"),
+            total.exact_incomplete);
+#endif
+
+  // The tier-4 entry point itself runs no search on the pair: it answers
+  // with the seed bound when that beats the identity matching's cost, and
+  // otherwise with the identity matching as the witness.
+  const FilterCascade cascade;
   const bool big_first = big.NumNodes() <= query.NumNodes();
-  const Graph* b1 = big_first ? &big : &query;
-  const Graph* b2 = big_first ? &query : &big;
-  const std::vector<FilterCascade::ExactBatchRequest> reqs = {
-      {&s1, &s2, 50'000, -1}, {b1, b2, 50'000, 7}, {b1, b2, 50'000, -1},
-      {&s1, &s2, 50'000, 4}};
-  CascadeStats batch_stats, solo_stats;
-  const std::vector<GedSearchResult> got = cascade.ExactSearchBatch(
-      reqs, std::vector<CascadeStats*>(reqs.size(), &batch_stats));
-  ASSERT_EQ(got.size(), reqs.size());
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    const GedSearchResult want =
-        cascade.ExactSearch(*reqs[i].g1, *reqs[i].g2, reqs[i].budget,
-                            reqs[i].initial_upper_bound, &solo_stats);
-    EXPECT_EQ(got[i].ged, want.ged) << "pair " << i;
-    EXPECT_EQ(got[i].matching, want.matching) << "pair " << i;
-    EXPECT_EQ(got[i].exact, want.exact) << "pair " << i;
-    EXPECT_EQ(got[i].expansions, want.expansions) << "pair " << i;
-  }
-  EXPECT_FALSE(got[1].exact);
-  EXPECT_EQ(got[1].ged, 7);  // the seed bound beats the identity's cost
-  EXPECT_FALSE(got[2].exact);
-  EXPECT_EQ(EditCostFromMatching(*b1, *b2, got[2].matching), got[2].ged);
-  EXPECT_EQ(batch_stats.exact_parallel_runs, 2);
-  EXPECT_EQ(solo_stats.exact_parallel_runs, 2);
+  const Graph& b1 = big_first ? big : query;
+  const Graph& b2 = big_first ? query : big;
+  const GedSearchResult seeded = cascade.ExactSearch(b1, b2, 50'000, 7);
+  EXPECT_FALSE(seeded.exact);
+  EXPECT_EQ(seeded.ged, 7);
+  EXPECT_EQ(seeded.expansions, 0);
+  const GedSearchResult unseeded = cascade.ExactSearch(b1, b2, 50'000, -1);
+  EXPECT_FALSE(unseeded.exact);
+  EXPECT_EQ(unseeded.expansions, 0);
+  EXPECT_EQ(EditCostFromMatching(b1, b2, unseeded.matching), unseeded.ged);
 }
 
 }  // namespace

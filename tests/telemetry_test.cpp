@@ -263,18 +263,6 @@ constexpr NamedField kCascadeFields[] = {
     {"otged_cascade_exact_incomplete_total",
      &CascadeStats::exact_incomplete},
     {"otged_cascade_cache_hits_total", &CascadeStats::cache_hits},
-    // Parallel-exact counters: zero when parallel_exact_threads <= 1 (as
-    // here), so this verifies the mirror path never fires spuriously; the
-    // nonzero reconciliation lives in search_exact_budget_test.cpp.
-    {"otged_exact_parallel_runs_total", &CascadeStats::exact_parallel_runs},
-    {"otged_exact_parallel_expansions_total",
-     &CascadeStats::exact_parallel_expansions},
-    {"otged_exact_parallel_subtrees_total",
-     &CascadeStats::exact_parallel_subtrees},
-    {"otged_exact_parallel_rounds_total",
-     &CascadeStats::exact_parallel_rounds},
-    {"otged_exact_parallel_incumbent_updates_total",
-     &CascadeStats::exact_parallel_incumbent_updates},
 };
 
 TEST(TelemetryEndToEndTest, CascadeCountersReconcileWithQueryStats) {

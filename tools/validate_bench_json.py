@@ -15,10 +15,7 @@ by bench_micro_kernels) use the kernel schema instead: "bench",
 "smoke" bool, optional "simd_isa" (str) / "simd_lanes" (int >= 1)
 fields recording which SIMD path the run took, an optional
 "twins_equal" bool (the scalar-vs-SIMD twin gate; must be true when
-present), and an optional "bnb" section with the sequential-vs-
-parallel branch-and-bound comparison (its "equal" flag is the
-determinism gate and must be true) plus the optional multi-pair batch
-timings "batch_ms" / "batch_speedup".
+present).
 
 With --baseline OLD.json, kernels present in both records are compared
 by ns_per_op: a regression above 15% prints a WARNING, above 50% it is
@@ -75,7 +72,7 @@ def validate_header(doc, problems):
 
 
 def validate_kernels(doc, problems):
-    """BENCH_kernels.json: per-kernel ns/op plus the bnb comparison."""
+    """BENCH_kernels.json: per-kernel ns/op plus the twin gate."""
     validate_header(doc, problems)
 
     if "smoke" in doc and not isinstance(doc["smoke"], bool):
@@ -95,8 +92,8 @@ def validate_kernels(doc, problems):
         if not isinstance(doc["twins_equal"], bool):
             err("key 'twins_equal': expected bool, got "
                 f"{type(doc['twins_equal']).__name__}", problems)
-        # Like bnb.equal: a record whose scalar and SIMD kernels disagree
-        # is not a valid record.
+        # A record whose scalar and SIMD kernels disagree is not a valid
+        # record.
         elif doc["twins_equal"] is False:
             err("twins_equal is false: scalar and SIMD kernels disagreed",
                 problems)
@@ -127,43 +124,6 @@ def validate_kernels(doc, problems):
                 err(f"kernels[{i}].ops {ops} is not positive", problems)
             for extra in sorted(set(entry) - {"name", "ns_per_op", "ops"}):
                 err(f"kernels[{i}] has unknown key {extra!r}", problems)
-
-    if "bnb" in doc:
-        bnb = require(doc, "bnb", dict, problems)
-        if bnb is not None:
-            pairs = require(bnb, "pairs", int, problems)
-            if pairs is not None and pairs <= 0:
-                err(f"bnb.pairs {pairs} is not positive", problems)
-            for key in ("seq_ms", "par_ms", "speedup"):
-                val = require(bnb, key, (int, float), problems)
-                if val is not None and val < 0:
-                    err(f"bnb.{key} {val} is negative", problems)
-            for key in ("batch_ms", "batch_speedup"):
-                if key not in bnb:
-                    continue
-                val = require(bnb, key, (int, float), problems)
-                if val is not None and val < 0:
-                    err(f"bnb.{key} {val} is negative", problems)
-            threads = require(bnb, "pool_threads", int, problems)
-            if threads is not None and threads <= 0:
-                err(f"bnb.pool_threads {threads} is not positive", problems)
-            # `require` rejects bools (they are int subclasses), so the
-            # one genuinely-boolean key is checked directly.
-            if "equal" not in bnb:
-                err("missing key 'equal'", problems)
-            elif not isinstance(bnb["equal"], bool):
-                err("key 'equal': expected bool, got "
-                    f"{type(bnb['equal']).__name__}", problems)
-            # The determinism gate is part of the schema: a record whose
-            # parallel solver disagreed with itself is not a valid record.
-            elif bnb["equal"] is False:
-                err("bnb.equal is false: parallel branch-and-bound was "
-                    "not deterministic", problems)
-            for extra in sorted(set(bnb) - {"pairs", "seq_ms", "par_ms",
-                                            "speedup", "batch_ms",
-                                            "batch_speedup", "equal",
-                                            "pool_threads"}):
-                err(f"bnb has unknown key {extra!r}", problems)
 
 
 def validate(doc, problems):
