@@ -20,9 +20,9 @@
 ///                   same snapshot); hit lists must match byte for byte
 ///                   (id, distance, exactness). GATE: zero mismatches.
 ///   4. CHURN      — bulk inserts plus random erases against the same
-///                   store; the incremental index (no full rebuild at
-///                   this churn level) is re-verified against the
-///                   linear scan. GATE: zero mismatches.
+///                   store; the incrementally advanced index is
+///                   re-verified against the linear scan.
+///                   GATE: zero mismatches.
 ///   5. RECORD     — QPS and p50/p95/p99 latency over the indexed
 ///                   serving sections, persisted as `BENCH_scale.json`
 ///                   (schema in src/telemetry/bench_report.hpp, with
@@ -88,9 +88,11 @@ int main(int argc, char** argv) {
   // and a bound-resolution ceiling no candidate index can lift (see
   // ROADMAP: anytime top-k). The top-k probes therefore run k=1 on
   // 1-edit queries — the seed refinement proves a cap of 1 and the
-  // LB-range collapses — which still drives the full indexed top-k
-  // path (VP seeding, cap, LB-range verify) end to end at scale;
-  // k>=2 parity is covered corpus-wide by the unit and hammer tests.
+  // LB-range collapses — which still drives the full top-k path
+  // (bound-matrix seeding, cap, bound scan) end to end at scale; k>=2
+  // parity is covered corpus-wide by the unit and hammer tests. Top-k
+  // never consults the index, so the two engines share that path; the
+  // comparison guards against that changing.
   const int verify_range = smoke ? 16 : 97;
   const int verify_topk = smoke ? 4 : 3;
   const int churn_n = smoke ? 200 : 2'000;
@@ -184,12 +186,11 @@ int main(int argc, char** argv) {
               "(%.2f%%)\n",
               frac_total.candidates, frac_total.scanned,
               100.0 * cand_fraction);
-  std::printf("  pruned: %.1f%% partition, %.1f%% label, %.1f%% vptree | "
+  std::printf("  pruned: %.1f%% partition, %.1f%% label | "
               "%ld of %ld partitions opened\n",
               100.0 * static_cast<double>(frac_total.partition_pruned) /
                   scanned,
               100.0 * static_cast<double>(frac_total.label_pruned) / scanned,
-              100.0 * static_cast<double>(frac_total.vptree_pruned) / scanned,
               frac_total.partitions_opened, frac_total.partitions_seen);
   const bool frac_ok = cand_fraction < 0.05;
   std::printf("  candidate fraction %.2f%%  [%s]\n\n",
@@ -245,7 +246,8 @@ int main(int argc, char** argv) {
     std::printf(
         "  [topk  %2d] indexed %.2f s, brute %.2f s, %ld cascade-evaluated\n",
         q, idx_s, Seconds(tq),
-        got.stats.cascade.candidates - got.stats.cascade.pruned_index);
+        got.stats.cascade.candidates - got.stats.cascade.pruned_index -
+            got.stats.cascade.pruned_invariant);
     if (!SameHits(got.hits, expected.hits)) ++mismatched;
   }
   serving_s += Seconds(t0);
@@ -255,9 +257,8 @@ int main(int argc, char** argv) {
   failed = failed || mismatched != 0;
 
   // ------------------------------------------------- 4. mutation churn
-  // Bulk insert + random erases; the index advances incrementally (the
-  // churn stays below the rebuild threshold at full scale) and must
-  // still agree with the linear scan.
+  // Bulk insert + random erases; the index advances incrementally and
+  // must still agree with the linear scan.
   std::printf("== churn: +%d inserts, -%d erases, then %d re-verified "
               "queries ==\n",
               churn_n, churn_n, churn_verify);
@@ -334,8 +335,6 @@ int main(int argc, char** argv) {
       static_cast<double>(frac_total.partition_pruned) / all_scanned;
   report.index_label_prune_fraction =
       static_cast<double>(frac_total.label_pruned) / all_scanned;
-  report.index_vptree_prune_fraction =
-      static_cast<double>(frac_total.vptree_pruned) / all_scanned;
 
   std::printf("== record: %.2f queries/s | latency p50 %.2f ms, p95 "
               "%.2f ms, p99 %.2f ms ==\n",

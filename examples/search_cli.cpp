@@ -28,9 +28,8 @@
 ///   gen <dataset> <count>    insert synthetic graphs (stable ids printed)
 ///   add <path>               insert every graph of a t/v/e corpus file
 ///   rm <id>                  erase one graph by stable id
-///   save <path>              persist store + compacted index (crc'd)
+///   save <path>              persist the store (versioned, checksummed)
 ///   load <path>              replace the store from a persisted file
-///                            (adopting its index section, if present)
 ///   range <tau> <n>          serve n synthetic queries, one at a time
 ///   topk <k> <n>             same, top-k
 ///   batch <tau> <n>          serve n queries as one RangeBatch pool pass
@@ -122,14 +121,13 @@ void PrintMetricsSnapshot() {
                     static_cast<double>(candidates));
   std::printf("\n");
   // Gauges track the current index view; zero when no index is built.
-  long index_size = 0, index_partitions = 0, index_overlay = 0;
+  long index_size = 0, index_partitions = 0;
   for (const auto& g : snap.gauges) {
     if (g.name == "otged_index_size") index_size = g.value;
     if (g.name == "otged_index_partitions") index_partitions = g.value;
-    if (g.name == "otged_index_vp_overlay") index_overlay = g.value;
   }
-  std::printf("index: %ld graphs in %ld partitions, vp overlay %ld\n",
-              index_size, index_partitions, index_overlay);
+  std::printf("index: %ld graphs in %ld partitions\n", index_size,
+              index_partitions);
 }
 
 /// `search_cli metrics`: serve a workload, then prove the exported
@@ -192,9 +190,7 @@ int RunMetrics(const std::string& dataset, int count, int num_queries,
       {"otged_index_pruned_total{level=\"partition\"}",
        itotal.partition_pruned},
       {"otged_index_pruned_total{level=\"label\"}", itotal.label_pruned},
-      {"otged_index_pruned_total{level=\"vptree\"}", itotal.vptree_pruned},
       {"otged_index_partitions_opened_total", itotal.partitions_opened},
-      {"otged_index_vp_nodes_visited_total", itotal.vp_nodes_visited},
   };
   bool ok = total.SettledTotal() == total.candidates;
   std::printf("\nreconciliation (registry counter vs summed QueryStats):\n");
@@ -275,16 +271,14 @@ int RunRepl(int threads) {
     } else if (op == "save") {
       std::string path, error;
       cmd >> path;
-      // Passing the engine's index persists its compacted VP-tree, so a
-      // later `load` skips the index rebuild.
-      if (SaveGraphStore(store, path, &error, engine.index()))
+      if (SaveGraphStore(store, path, &error))
         std::printf("saved %d graphs to %s\n", store.Size(), path.c_str());
       else
         std::printf("error: %s\n", error.c_str());
     } else if (op == "load") {
       std::string path, error;
       cmd >> path;
-      if (LoadGraphStore(&store, path, &error, engine.index()))
+      if (LoadGraphStore(&store, path, &error))
         std::printf("loaded %d graphs from %s (epoch %llu)\n", store.Size(),
                     path.c_str(),
                     static_cast<unsigned long long>(store.Epoch()));

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "telemetry/metrics.hpp"
 
@@ -13,34 +15,28 @@ namespace {
 /// Index metric handles, resolved once (labeled names cannot go through
 /// the one-name-per-call-site OTGED_COUNT macros).
 struct IndexMetrics {
-  telemetry::Counter* queries[2];  ///< kind = range, topk
+  telemetry::Counter* queries;
   telemetry::Counter* candidates;
-  telemetry::Counter* pruned[3];  ///< level = partition, label, vptree
+  telemetry::Counter* pruned[2];  ///< level = partition, label
   telemetry::Counter* partitions_opened;
-  telemetry::Counter* vp_nodes_visited;
   telemetry::Counter* applies;
-  telemetry::Counter* rebuilds;
   telemetry::Gauge* size;
   telemetry::Gauge* partitions;
-  telemetry::Gauge* vp_overlay;
-  telemetry::Histogram* level_latency[3];
+  telemetry::Histogram* level_latency[2];
 };
 
 const IndexMetrics& Metrics() {
   static const IndexMetrics* m = [] {
     auto* mm = new IndexMetrics;
     auto& reg = telemetry::Registry();
-    static const char* kKind[2] = {"range", "topk"};
-    static const char* kLevel[3] = {"partition", "label", "vptree"};
-    for (int k : {0, 1})
-      mm->queries[k] = &reg.GetCounter(
-          std::string("otged_index_queries_total{kind=\"") + kKind[k] +
-              "\"}",
-          "queries answered through the candidate-generation index");
+    static const char* kLevel[2] = {"partition", "label"};
+    mm->queries = &reg.GetCounter(
+        "otged_index_queries_total{kind=\"range\"}",
+        "queries answered through the candidate-generation index");
     mm->candidates =
         &reg.GetCounter("otged_index_candidates_total",
                         "graphs the index handed to the filter cascade");
-    for (int l : {0, 1, 2})
+    for (int l : {0, 1})
       mm->pruned[l] = &reg.GetCounter(
           std::string("otged_index_pruned_total{level=\"") + kLevel[l] +
               "\"}",
@@ -48,23 +44,14 @@ const IndexMetrics& Metrics() {
     mm->partitions_opened =
         &reg.GetCounter("otged_index_partitions_opened_total",
                         "partitions that survived the signature screen");
-    mm->vp_nodes_visited =
-        &reg.GetCounter("otged_index_vp_nodes_visited_total",
-                        "metric evaluations inside VP-tree traversals");
     mm->applies = &reg.GetCounter(
         "otged_index_applies_total",
         "incremental snapshot diffs applied to the cached view");
-    mm->rebuilds = &reg.GetCounter(
-        "otged_index_rebuilds_total",
-        "full VP-tree builds (initial, overlay overflow, or compaction)");
     mm->size =
         &reg.GetGauge("otged_index_size", "graphs in the current view");
     mm->partitions = &reg.GetGauge("otged_index_partitions",
                                    "partitions in the current view");
-    mm->vp_overlay = &reg.GetGauge(
-        "otged_index_vp_overlay",
-        "VP-tree overlay entries (delta inserts + dead ids)");
-    for (int l : {0, 1, 2})
+    for (int l : {0, 1})
       mm->level_latency[l] = &reg.GetHistogram(
           std::string("otged_index_level_latency_us{level=\"") + kLevel[l] +
               "\"}",
@@ -89,14 +76,6 @@ std::vector<std::pair<Label, int>> RleLabels(
   return rle;
 }
 
-void DigestPod(uint64_t* h, uint64_t v) {
-  // FNV-1a over the value's 8 bytes.
-  for (int i = 0; i < 8; ++i) {
-    *h ^= (v >> (8 * i)) & 0xffu;
-    *h *= 1099511628211ull;
-  }
-}
-
 }  // namespace
 
 void IndexView::RangeCandidates(const GraphInvariants& qi, int tau,
@@ -119,7 +98,7 @@ void IndexView::RangeCandidates(const GraphInvariants& qi, int tau,
 #if OTGED_TELEMETRY_COMPILED
   if (telemetry::Enabled()) {
     const auto& m = Metrics();
-    m.queries[0]->Inc();
+    m.queries->Inc();
     m.candidates->Inc(static_cast<long>(out_ids->size() - first));
     m.pruned[0]->Inc(stats->partition_pruned);
     m.pruned[1]->Inc(stats->label_pruned);
@@ -128,99 +107,6 @@ void IndexView::RangeCandidates(const GraphInvariants& qi, int tau,
     m.level_latency[1]->Record(std::lround(t2 - t1));
   }
 #endif
-}
-
-void IndexView::TopKSeeds(const GraphInvariants& qi, size_t k,
-                          std::vector<std::pair<int, int>>* out,
-                          IndexStats* stats) const {
-  const double t0 = telemetry::NowUs();
-  long visited = 0;
-  out->clear();
-  out->reserve(delta_.size() + k);
-  for (const auto& e : delta_) {
-    ++visited;
-    out->emplace_back(InvariantLowerBound(qi, e->invariants), e->id);
-  }
-  vp_->Knn(qi, k, dead_, out, &visited);
-  const double t1 = telemetry::NowUs();
-  stats->vp_nodes_visited += visited;
-  stats->vptree_us += t1 - t0;
-#if OTGED_TELEMETRY_COMPILED
-  if (telemetry::Enabled()) {
-    const auto& m = Metrics();
-    m.queries[1]->Inc();
-    m.vp_nodes_visited->Inc(visited);
-    m.level_latency[2]->Record(std::lround(t1 - t0));
-  }
-#endif
-}
-
-void IndexView::LbRangeCandidates(const GraphInvariants& qi, int tau,
-                                  std::vector<int>* out_ids,
-                                  IndexStats* stats) const {
-  const double t0 = telemetry::NowUs();
-  long visited = 0;
-  std::vector<std::pair<int, int>> hits;  // (id, lb)
-  vp_->Range(qi, tau, dead_, &hits, &visited);
-  for (const auto& e : delta_) {
-    ++visited;
-    if (InvariantLowerBound(qi, e->invariants) <= tau)
-      hits.emplace_back(e->id, 0);
-  }
-  const size_t first = out_ids->size();
-  for (const auto& h : hits) out_ids->push_back(h.first);
-  std::sort(out_ids->begin() + static_cast<long>(first), out_ids->end());
-  const double t1 = telemetry::NowUs();
-  const long emitted = static_cast<long>(hits.size());
-  stats->scanned += size_;
-  stats->candidates += emitted;
-  stats->vptree_pruned += static_cast<long>(size_) - emitted;
-  stats->vp_nodes_visited += visited;
-  stats->vptree_us += t1 - t0;
-#if OTGED_TELEMETRY_COMPILED
-  if (telemetry::Enabled()) {
-    const auto& m = Metrics();
-    m.candidates->Inc(emitted);
-    m.pruned[2]->Inc(static_cast<long>(size_) - emitted);
-    m.vp_nodes_visited->Inc(visited);
-    m.level_latency[2]->Record(std::lround(t1 - t0));
-  }
-#endif
-}
-
-uint64_t IndexView::StructuralDigest() const {
-  uint64_t h = 14695981039346656037ull;
-  DigestPod(&h, static_cast<uint64_t>(wl_prefix_bits_));
-  DigestPod(&h, static_cast<uint64_t>(size_));
-  for (const auto& [key, part] : partitions_) {
-    DigestPod(&h, key);
-    DigestPod(&h, part->members.size());
-    for (const auto& e : part->members)
-      DigestPod(&h, static_cast<uint64_t>(e->id));
-  }
-  DigestPod(&h, vp_->nodes().size());
-  for (size_t i = 0; i < vp_->nodes().size(); ++i) {
-    const VpTreeNode& n = vp_->nodes()[i];
-    DigestPod(&h, static_cast<uint64_t>(vp_->entries()[i]->id));
-    DigestPod(&h, static_cast<uint64_t>(static_cast<int64_t>(n.r_in_max)));
-    DigestPod(&h, static_cast<uint64_t>(static_cast<int64_t>(n.r_out_min)));
-    DigestPod(&h, static_cast<uint64_t>(n.inner));
-  }
-  DigestPod(&h, delta_.size());
-  for (const auto& e : delta_) DigestPod(&h, static_cast<uint64_t>(e->id));
-  DigestPod(&h, dead_.size());
-  for (const int id : dead_) DigestPod(&h, static_cast<uint64_t>(id));
-  return h;
-}
-
-PersistedIndex MakePersistedIndex(const IndexView& view) {
-  PersistedIndex out;
-  out.wl_prefix_bits = view.wl_prefix_bits_;
-  out.nodes = view.vp_->nodes();
-  out.node_ids.reserve(out.nodes.size());
-  for (const auto& e : view.vp_->entries()) out.node_ids.push_back(e->id);
-  out.digest = view.StructuralDigest();
-  return out;
 }
 
 GraphIndex::GraphIndex(const IndexOptions& opt) : opt_(opt) {}
@@ -237,60 +123,6 @@ std::shared_ptr<const IndexView> GraphIndex::ViewFor(
   return view;
 }
 
-std::shared_ptr<const IndexView> GraphIndex::CompactViewFor(
-    const std::shared_ptr<const StoreSnapshot>& snap) {
-  MutexLock lock(mu_);
-  if (view_ == nullptr || base_ == nullptr ||
-      base_->epoch() != snap->epoch() || !view_->OverlayEmpty()) {
-    Install(snap, BuildFull(snap));
-  }
-  return view_;
-}
-
-bool GraphIndex::AdoptPersisted(
-    const std::shared_ptr<const StoreSnapshot>& snap,
-    const PersistedIndex& persisted, std::string* error) {
-  MutexLock lock(mu_);
-  if (persisted.wl_prefix_bits != opt_.wl_prefix_bits) {
-    if (error != nullptr) *error = "index config mismatch (wl_prefix_bits)";
-    return false;
-  }
-  if (persisted.node_ids.size() !=
-          static_cast<size_t>(snap->Size()) ||
-      persisted.nodes.size() != persisted.node_ids.size()) {
-    if (error != nullptr) *error = "index node count != store size";
-    return false;
-  }
-  std::vector<std::shared_ptr<const StoreEntry>> entries;
-  entries.reserve(persisted.node_ids.size());
-  for (const int id : persisted.node_ids) {
-    const int slot = snap->SlotOf(id);
-    if (slot < 0) {
-      if (error != nullptr) *error = "index references unknown graph id";
-      return false;
-    }
-    entries.push_back(snap->entry_ptrs()[static_cast<size_t>(slot)]);
-  }
-  auto vp = VpTree::FromPersisted(std::move(entries), persisted.nodes);
-  if (vp == nullptr) {
-    if (error != nullptr) *error = "malformed VP-tree layout";
-    return false;
-  }
-  auto view = std::shared_ptr<IndexView>(new IndexView);
-  view->epoch_ = snap->epoch();
-  view->size_ = snap->Size();
-  view->wl_prefix_bits_ = opt_.wl_prefix_bits;
-  view->partitions_ =
-      BuildPartitionMap(snap->entry_ptrs(), opt_.wl_prefix_bits);
-  view->vp_ = std::move(vp);
-  if (view->StructuralDigest() != persisted.digest) {
-    if (error != nullptr) *error = "index digest mismatch";
-    return false;
-  }
-  Install(snap, std::move(view));
-  return true;
-}
-
 std::shared_ptr<const IndexView> GraphIndex::BuildFull(
     const std::shared_ptr<const StoreSnapshot>& snap) {
   auto view = std::shared_ptr<IndexView>(new IndexView);
@@ -299,10 +131,6 @@ std::shared_ptr<const IndexView> GraphIndex::BuildFull(
   view->wl_prefix_bits_ = opt_.wl_prefix_bits;
   view->partitions_ =
       BuildPartitionMap(snap->entry_ptrs(), opt_.wl_prefix_bits);
-  view->vp_ = VpTree::Build(snap->entry_ptrs());
-#if OTGED_TELEMETRY_COMPILED
-  if (telemetry::Enabled()) Metrics().rebuilds->Inc();
-#endif
   return view;
 }
 
@@ -343,49 +171,6 @@ std::shared_ptr<const IndexView> GraphIndex::Advance(
   view->wl_prefix_bits_ = opt_.wl_prefix_bits;
   view->partitions_ = ApplyPartitionDiff(view_->partitions_, added, removed,
                                          opt_.wl_prefix_bits);
-
-  // VP-tree overlay: erases of tree residents become dead ids, erases of
-  // delta entries drop out of the delta, inserts append to the delta.
-  // An id can be in BOTH places at once — a Restore rebind of a tree
-  // resident marks the stale tree entry dead and serves the fresh entry
-  // from the delta — so a removal must always clear the delta entry, and
-  // the dead list must stay duplicate-free.
-  view->vp_ = view_->vp_;
-  view->dead_ = view_->dead_;
-  view->delta_ = view_->delta_;
-  for (const auto& e : removed) {
-    auto it = std::lower_bound(
-        view->delta_.begin(), view->delta_.end(), e->id,
-        [](const auto& d, int id) { return d->id < id; });
-    if (it != view->delta_.end() && (*it)->id == e->id)
-      view->delta_.erase(it);
-    if (std::binary_search(view->vp_->sorted_ids().begin(),
-                           view->vp_->sorted_ids().end(), e->id)) {
-      auto dit =
-          std::lower_bound(view->dead_.begin(), view->dead_.end(), e->id);
-      if (dit == view->dead_.end() || *dit != e->id)
-        view->dead_.insert(dit, e->id);
-    }
-  }
-  for (const auto& e : added)
-    view->delta_.insert(
-        std::lower_bound(view->delta_.begin(), view->delta_.end(), e->id,
-                         [](const auto& d, int id) { return d->id < id; }),
-        e);
-
-  const size_t overlay = view->delta_.size() + view->dead_.size();
-  const size_t limit = std::max(
-      static_cast<size_t>(opt_.vp_rebuild_min),
-      static_cast<size_t>(opt_.vp_rebuild_fraction *
-                          static_cast<double>(snap->Size())));
-  if (overlay > limit) {
-    view->vp_ = VpTree::Build(snap->entry_ptrs());
-    view->delta_.clear();
-    view->dead_.clear();
-#if OTGED_TELEMETRY_COMPILED
-    if (telemetry::Enabled()) Metrics().rebuilds->Inc();
-#endif
-  }
 #if OTGED_TELEMETRY_COMPILED
   if (telemetry::Enabled()) Metrics().applies->Inc();
 #endif
@@ -401,8 +186,6 @@ void GraphIndex::Install(const std::shared_ptr<const StoreSnapshot>& snap,
     const auto& m = Metrics();
     m.size->Set(view_->size_);
     m.partitions->Set(static_cast<long>(view_->partitions_.size()));
-    m.vp_overlay->Set(
-        static_cast<long>(view_->delta_.size() + view_->dead_.size()));
   }
 #endif
 }

@@ -1,11 +1,11 @@
 /// \file graph_index.hpp
-/// \brief Snapshot-consistent multi-level candidate-generation index.
+/// \brief Snapshot-consistent two-level candidate-generation index.
 ///
 /// Sits between GraphStore and FilterCascade: given a pinned snapshot,
-/// the engine asks the index for a candidate id list instead of scanning
-/// every stored graph. Three levels, all pruning strictly via admissible
-/// lower bounds (so indexed results are byte-identical to a linear
-/// scan):
+/// the engine asks the index for a range query's candidate id list
+/// instead of scanning every stored graph. Two levels, both pruning
+/// strictly via admissible lower bounds (so indexed results are
+/// byte-identical to a linear scan):
 ///
 ///   level 1  partition screen   (n, m) signature distance + descending
 ///                               degree min/max envelope; prunes whole
@@ -15,34 +15,28 @@
 ///                               members untouched by the query's labels
 ///                               are dismissed wholesale (at tau == 0 a
 ///                               WL-hash prefix table is used instead)
-///   level 3  VP-tree            triangle-inequality pruning over the
-///                               InvariantLowerBound pseudo-metric;
-///                               serves top-k seeding and the final
-///                               LB-range cut
+///
+/// Top-k does not use the index: it ranks the whole snapshot by
+/// InvariantLowerBound (see query_engine.hpp).
 ///
 /// Consistency model: an IndexView is immutable and tied to one store
 /// epoch. GraphIndex caches the view for the most recent snapshot it
 /// served and advances it by diffing snapshot entry vectors (both are
-/// ascending by stable id, so the diff is a linear merge walk):
-/// partitions update copy-on-write, the VP-tree absorbs churn into a
-/// linear delta list (recent inserts) plus a dead-id set (erases) and is
-/// rebuilt deterministically once the overlay exceeds a configured
-/// fraction. Concurrent queries that pinned older views keep using them
-/// untouched.
+/// ascending by stable id, so the diff is a linear merge walk);
+/// partitions update copy-on-write. Concurrent queries that pinned older
+/// views keep using them untouched. Nothing of the index is persisted:
+/// it is derived data, rebuilt from the store on first use.
 #ifndef OTGED_SEARCH_INDEX_GRAPH_INDEX_HPP_
 #define OTGED_SEARCH_INDEX_GRAPH_INDEX_HPP_
 
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "core/thread_annotations.hpp"
 #include "search/graph_store.hpp"
 #include "search/index/index_stats.hpp"
 #include "search/index/partition_table.hpp"
-#include "search/index/vp_tree.hpp"
 
 namespace otged {
 
@@ -51,13 +45,7 @@ struct IndexOptions {
   /// mean smaller buckets; candidates are always confirmed against the
   /// full hash, so this only trades space for bucket selectivity.
   int wl_prefix_bits = 16;
-  /// Rebuild the VP-tree when overlay entries (delta + dead) exceed
-  /// max(vp_rebuild_min, vp_rebuild_fraction * live size).
-  double vp_rebuild_fraction = 0.15;
-  int vp_rebuild_min = 64;
 };
-
-struct PersistedIndex;
 
 /// The index at one store epoch. Immutable; safe to share across
 /// threads; valid for as long as the shared_ptr is held.
@@ -73,55 +61,14 @@ class IndexView {
   void RangeCandidates(const GraphInvariants& qi, int tau,
                        std::vector<int>* out_ids, IndexStats* stats) const;
 
-  /// Top-k seeding (level 3): the k lexicographically smallest
-  /// (InvariantLowerBound, id) pairs, ascending — identical to what a
-  /// full scan's nth_element by (bound, slot) would select.
-  void TopKSeeds(const GraphInvariants& qi, size_t k,
-                 std::vector<std::pair<int, int>>* out, IndexStats* stats)
-      const;
-
-  /// Exact LB-range cut (level 3): ascending ids of every graph with
-  /// InvariantLowerBound(query, g) <= tau — not a superset, the precise
-  /// set, as required for top-k exactness.
-  void LbRangeCandidates(const GraphInvariants& qi, int tau,
-                         std::vector<int>* out_ids, IndexStats* stats) const;
-
-  /// Order-independent structural fingerprint of the whole view
-  /// (config, partitions, VP-tree layout, overlay). Equal digests mean
-  /// equal candidate generation behavior; used to verify that a
-  /// persisted index matches a from-scratch rebuild.
-  uint64_t StructuralDigest() const;
-
-  bool OverlayEmpty() const { return delta_.empty() && dead_.empty(); }
-  const VpTree& vp_tree() const { return *vp_; }
-  const PartitionMap& partitions() const { return partitions_; }
-
  private:
   friend class GraphIndex;
-  friend PersistedIndex MakePersistedIndex(const IndexView& view);
 
   uint64_t epoch_ = 0;
   int size_ = 0;
   int wl_prefix_bits_ = 16;
   PartitionMap partitions_;
-  std::shared_ptr<const VpTree> vp_;
-  /// Live entries not yet in vp_, ascending by id (scanned linearly).
-  std::vector<std::shared_ptr<const StoreEntry>> delta_;
-  /// Ids still in vp_ but no longer live, ascending (skipped on emit).
-  std::vector<int> dead_;
 };
-
-/// Serialized form of a *compact* view's VP-tree (partitions and
-/// postings are cheap to rebuild from the store payload; the tree is the
-/// only part worth persisting). The digest pins the full rebuilt view.
-struct PersistedIndex {
-  int wl_prefix_bits = 16;
-  std::vector<int> node_ids;  ///< preorder vantage ids, parallel to nodes
-  std::vector<VpTreeNode> nodes;
-  uint64_t digest = 0;
-};
-
-PersistedIndex MakePersistedIndex(const IndexView& view);
 
 /// Maintains the current IndexView for a store. Thread-safe; queries in
 /// flight keep whatever view they pinned.
@@ -133,23 +80,6 @@ class GraphIndex {
   /// view as needed.
   std::shared_ptr<const IndexView> ViewFor(
       const std::shared_ptr<const StoreSnapshot>& snap) EXCLUDES(mu_);
-
-  /// Like ViewFor, but guarantees an empty overlay (forces a VP-tree
-  /// rebuild if needed) so the view equals a from-scratch build — the
-  /// form that is persisted.
-  std::shared_ptr<const IndexView> CompactViewFor(
-      const std::shared_ptr<const StoreSnapshot>& snap) EXCLUDES(mu_);
-
-  /// Installs a persisted index for `snap` after validating structure
-  /// and digest against a rebuild of the derived levels. On failure
-  /// nothing is installed — any previously cached view stays as it was
-  /// (the next ViewFor advances or rebuilds it for the snapshot it is
-  /// handed) — and *error says why.
-  bool AdoptPersisted(const std::shared_ptr<const StoreSnapshot>& snap,
-                      const PersistedIndex& persisted, std::string* error)
-      EXCLUDES(mu_);
-
-  const IndexOptions& options() const { return opt_; }
 
  private:
   std::shared_ptr<const IndexView> BuildFull(

@@ -5,41 +5,40 @@
 
 namespace otged {
 
-/// What the index did for one query (or, after Merge, a batch). Pruning
-/// is attributed to the *first* level that dismissed a graph: partition
-/// screening (size signature / degree envelope), the label posting walk
-/// (including the WL-hash table at tau == 0), or VP-tree triangle
-/// pruning for top-k. `scanned` counts every graph in the pinned
-/// snapshot, so `scanned == candidates + PrunedTotal()` per query.
+/// What the index did for one range query (or, after Merge, a batch).
+/// Pruning is attributed to the *first* level that dismissed a graph:
+/// partition screening (size signature / degree envelope) or the label
+/// posting walk (including the WL-hash table at tau == 0). `scanned`
+/// counts every graph in the pinned snapshot, so
+/// `scanned == candidates + PrunedTotal()` per query. Top-k never
+/// consults the index, so its stats stay all zero.
 struct IndexStats {
   long scanned = 0;           ///< corpus size the query ran against
   long partition_pruned = 0;  ///< dismissed without opening the partition
   long label_pruned = 0;      ///< dismissed by the posting walk / WL table
-  long vptree_pruned = 0;     ///< dismissed by VP-tree triangle pruning
   long candidates = 0;        ///< survivors handed to the filter cascade
   long partitions_seen = 0;
   long partitions_opened = 0;
-  long vp_nodes_visited = 0;  ///< metric evaluations inside the VP-tree
   double partition_us = 0.0;  ///< wall time in partition screening
   double label_us = 0.0;      ///< wall time in posting walks
-  double vptree_us = 0.0;     ///< wall time in VP-tree traversals
+  /// Always 0: the index has no third level. These three stay only
+  /// because gedbench/src/main.cpp still reads them; remove them together
+  /// with those reads.
+  long vptree_pruned = 0;
+  long vp_nodes_visited = 0;
+  double vptree_us = 0.0;
 
-  long PrunedTotal() const {
-    return partition_pruned + label_pruned + vptree_pruned;
-  }
+  long PrunedTotal() const { return partition_pruned + label_pruned; }
 
   void Merge(const IndexStats& o) {
     scanned += o.scanned;
     partition_pruned += o.partition_pruned;
     label_pruned += o.label_pruned;
-    vptree_pruned += o.vptree_pruned;
     candidates += o.candidates;
     partitions_seen += o.partitions_seen;
     partitions_opened += o.partitions_opened;
-    vp_nodes_visited += o.vp_nodes_visited;
     partition_us += o.partition_us;
     label_us += o.label_us;
-    vptree_us += o.vptree_us;
   }
 };
 

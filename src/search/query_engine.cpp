@@ -331,50 +331,30 @@ std::vector<TopKResult> QueryEngine::TopKBatchLocked(
   QueryWallClock wall_clock(pool_->num_threads(), nu, start);
 
   // --- phase A: the most promising probe candidates per query ----------
-  // A pool of kp = kk + topk_seed_probes lowest-(bound, id) graphs.
-  // Indexed: the VP-tree's k-nearest by (InvariantLowerBound, id) — the
-  // same set a full scan's nth_element by (bound, slot) selects, since
-  // slots ascend by id. Unindexed: materialize the bound matrix and
-  // select directly. Both paths pick the identical pool, so the cap —
-  // and with it the phase-C task set — is identical either way.
+  // Materialize the nu x n invariant-bound matrix and select a pool of
+  // kp = kk + topk_seed_probes lowest-(bound, slot) graphs per query
+  // (slots ascend by id, so ties break by id).
   const int kp =
       std::min(n, kk + std::max(0, topk_probes_));  ///< probe-pool size
-  std::shared_ptr<const IndexView> iview;
-  if (index_ != nullptr && n > 0) iview = index_->ViewFor(snap);
-  std::vector<IndexStats> istats(nu);
   std::vector<int> seeds(static_cast<size_t>(nu) * kp);
-  std::vector<int> lb;  ///< unindexed only: nu x n bound matrix
-  if (iview != nullptr) {
-    pool_->ParallelFor(nu, /*grain=*/1, [&](int64_t u, int worker) {
-      std::vector<std::pair<int, int>> nearest;  // (bound, id) ascending
-      iview->TopKSeeds(ctx[u].qi, static_cast<size_t>(kp), &nearest,
-                       &istats[u]);
-      OTGED_DCHECK(static_cast<int>(nearest.size()) == kp);
-      for (int i = 0; i < kp; ++i)
-        seeds[static_cast<size_t>(u) * kp + i] =
-            snap->SlotOf(nearest[static_cast<size_t>(i)].second);
-      wall_clock.MarkDone(worker, static_cast<int>(u));
-    });
-  } else {
-    lb.resize(static_cast<size_t>(nu) * n);
-    pool_->ParallelFor(static_cast<int64_t>(nu) * n, /*grain=*/64,
-                       [&](int64_t t, int) {
-                         const int u = static_cast<int>(t / n);
-                         const int slot = static_cast<int>(t % n);
-                         lb[t] = InvariantLowerBound(
-                             ctx[u].qi, snap->invariants(slot));
-                       });
-    for (int u = 0; u < nu; ++u) {
-      const int* row = lb.data() + static_cast<size_t>(u) * n;
-      std::vector<int> order(n);
-      std::iota(order.begin(), order.end(), 0);
-      std::nth_element(order.begin(), order.begin() + (kp - 1), order.end(),
-                       [&](int a, int b) {
-                         return row[a] != row[b] ? row[a] < row[b] : a < b;
-                       });
-      std::copy(order.begin(), order.begin() + kp,
-                seeds.begin() + static_cast<size_t>(u) * kp);
-    }
+  std::vector<int> lb(static_cast<size_t>(nu) * n);
+  pool_->ParallelFor(static_cast<int64_t>(nu) * n, /*grain=*/64,
+                     [&](int64_t t, int) {
+                       const int u = static_cast<int>(t / n);
+                       const int slot = static_cast<int>(t % n);
+                       lb[t] = InvariantLowerBound(ctx[u].qi,
+                                                   snap->invariants(slot));
+                     });
+  for (int u = 0; u < nu; ++u) {
+    const int* row = lb.data() + static_cast<size_t>(u) * n;
+    std::vector<int> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    std::nth_element(order.begin(), order.begin() + (kp - 1), order.end(),
+                     [&](int a, int b) {
+                       return row[a] != row[b] ? row[a] < row[b] : a < b;
+                     });
+    std::copy(order.begin(), order.begin() + kp,
+              seeds.begin() + static_cast<size_t>(u) * kp);
   }
 
   // --- phase B: cap each query's k-th best distance ---------------------
@@ -430,32 +410,16 @@ std::vector<TopKResult> QueryEngine::TopKBatchLocked(
   }
 
   // --- phase C: exact verification of surviving candidates -------------
-  // The task set is exactly { slot : InvariantLowerBound <= tau0 }: the
-  // VP-tree's LB-range cut computes the same set the bound matrix scan
-  // does, so indexed and unindexed top-k verify identical pairs.
+  // The task set is exactly { slot : InvariantLowerBound <= tau0 }, read
+  // off phase A's bound matrix.
   std::vector<std::pair<int, int>> tasks;  ///< (unique query, slot)
   std::vector<long> screened(nu, 0);
-  if (iview != nullptr) {
-    std::vector<std::vector<int>> cand(nu);
-    pool_->ParallelFor(nu, /*grain=*/1, [&](int64_t u, int worker) {
-      std::vector<int> ids;
-      iview->LbRangeCandidates(ctx[u].qi, tau0[u], &ids, &istats[u]);
-      cand[u].reserve(ids.size());
-      for (const int id : ids) cand[u].push_back(snap->SlotOf(id));
-      wall_clock.MarkDone(worker, static_cast<int>(u));
-    });
-    for (int u = 0; u < nu; ++u) {
-      for (const int slot : cand[u]) tasks.emplace_back(u, slot);
-      screened[u] = static_cast<long>(n) - static_cast<long>(cand[u].size());
-    }
-  } else {
-    for (int u = 0; u < nu; ++u) {
-      for (int slot = 0; slot < n; ++slot) {
-        if (lb[static_cast<size_t>(u) * n + slot] <= tau0[u])
-          tasks.emplace_back(u, slot);
-        else
-          ++screened[u];
-      }
+  for (int u = 0; u < nu; ++u) {
+    for (int slot = 0; slot < n; ++slot) {
+      if (lb[static_cast<size_t>(u) * n + slot] <= tau0[u])
+        tasks.emplace_back(u, slot);
+      else
+        ++screened[u];
     }
   }
   std::vector<CascadeVerdict> verdicts(tasks.size());
@@ -492,28 +456,19 @@ std::vector<TopKResult> QueryEngine::TopKBatchLocked(
               });
     if (static_cast<int>(res.hits.size()) > kk) res.hits.resize(kk);
     for (const auto& ws : worker_stats) res.stats.cascade.Merge(ws[u]);
-    res.stats.index = istats[u];
-    // Fold the candidates screened out before the cascade (by the index's
-    // LB-range cut, or by phase A's bound matrix) into the stats so they
-    // describe the query — and mirror the fold into the global counters
-    // so Prometheus totals keep reconciling with summed QueryStats.
+    // Fold the candidates phase A's bound matrix screened out into the
+    // stats so they describe the query — and mirror the fold into the
+    // global counters so Prometheus totals keep reconciling with summed
+    // QueryStats.
     res.stats.cascade.candidates += screened[u];
+    res.stats.cascade.pruned_invariant += screened[u];
     OTGED_COUNT_N("otged_cascade_candidates_total",
                   "candidate pairs fed into the filter cascade",
                   screened[u]);
-    if (iview != nullptr) {
-      res.stats.cascade.pruned_index += screened[u];
-      OTGED_COUNT_N("otged_cascade_pruned_total{tier=\"index\"}",
-                    "pairs dismissed by the candidate index before the "
-                    "cascade",
-                    screened[u]);
-    } else {
-      res.stats.cascade.pruned_invariant += screened[u];
-      OTGED_COUNT_N("otged_cascade_pruned_total{tier=\"invariant\"}",
-                    "pairs dismissed by an admissible lower bound at this "
-                    "tier",
-                    screened[u]);
-    }
+    OTGED_COUNT_N("otged_cascade_pruned_total{tier=\"invariant\"}",
+                  "pairs dismissed by an admissible lower bound at this "
+                  "tier",
+                  screened[u]);
     res.stats.wall_ms = wall_clock.WallMs(u, wall);
     res.stats.epoch = snap->epoch();
     res.stats.trace_id = ctx[u].trace_id;

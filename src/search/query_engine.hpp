@@ -11,15 +11,14 @@
 /// per-candidate slots and statistics are merged from per-worker buffers
 /// with commutative sums, so scheduling order never leaks into the output.
 ///
-/// With the index enabled (the default), candidate generation goes
-/// through GraphIndex first: the partition/label levels produce a range
-/// candidate list and the VP-tree seeds top-k, so the cascade only sees
-/// a sublinear slice of the store. Index pruning uses the same
-/// admissible bounds a full scan's tier 0 would, so hits are
-/// byte-identical with the index on or off; pairs the index dismissed
-/// are folded into the query's CascadeStats as `pruned_index`, keeping
-/// `candidates == corpus size` per query and all counter reconciliation
-/// intact.
+/// With the index enabled (the default), range candidate generation
+/// goes through GraphIndex first: its partition/label levels produce a
+/// candidate list, so the cascade only sees a sublinear slice of the
+/// store. Index pruning uses the same admissible bounds a full scan's
+/// tier 0 would, so hits are byte-identical with the index on or off;
+/// pairs the index dismissed are folded into the query's CascadeStats as
+/// `pruned_index`, keeping `candidates == corpus size` per query and all
+/// counter reconciliation intact. Top-k does not use the index.
 ///
 /// Pairs whose exact distance the cascade proves are remembered in a
 /// sharded LRU bound cache keyed by (query content fingerprint, stable
@@ -30,12 +29,15 @@
 /// never reused, so stale entries can never alias a new graph).
 ///
 /// Top-k runs in three deterministic phases:
-///   A. invariant lower bounds for every stored graph (parallel, O(n));
-///   B. heuristic upper bounds for the k most promising candidates — the
-///      largest of those UBs is a provable cap tau0 on the k-th best
-///      distance;
-///   C. exact bounded-distance verification (parallel) of every candidate
-///      whose lower bound is within tau0, then a final sort by (ged, id).
+///   A. invariant lower bounds for every stored graph (parallel, O(n)),
+///      kept as a bound matrix; nth_element picks the k + probes graphs
+///      with the lowest (bound, id);
+///   B. refined upper bounds for those probes — the k-th smallest is a
+///      provable cap tau0 on the k-th best distance;
+///   C. a scan of the bound matrix keeps every graph whose lower bound is
+///      within tau0 (the rest are counted as `pruned_invariant`);
+///      exact bounded-distance verification (parallel) of those, then a
+///      final sort by (ged, id).
 #ifndef OTGED_SEARCH_QUERY_ENGINE_HPP_
 #define OTGED_SEARCH_QUERY_ENGINE_HPP_
 
@@ -57,10 +59,11 @@ struct EngineOptions {
   CascadeOptions cascade;
   bool use_bound_cache = true;    ///< cache proven-exact pair distances
   size_t cache_capacity = 65536;  ///< bound-cache entry budget
-  /// Generate candidates through the multi-level index instead of
-  /// scanning every stored graph. The index prunes only via admissible
-  /// lower bounds, so results are byte-identical either way; turning it
-  /// off is for verification and micro-benchmarks.
+  /// Generate range candidates through the two-level index instead of
+  /// scanning every stored graph (top-k always scans its bound matrix).
+  /// The index prunes only via admissible lower bounds, so results are
+  /// byte-identical either way; turning it off is for verification and
+  /// micro-benchmarks.
   bool use_index = true;
   IndexOptions index;
   /// Top-k verifies every graph whose lower bound is under the cap set
@@ -95,8 +98,9 @@ struct QueryStats {
   uint64_t trace_id = 0;   ///< process-unique query id; TraceEvents carry
                            ///< it (duplicate queries in a batch share one)
   CascadeStats cascade;    ///< tier-by-tier pruning and solver counts
-  IndexStats index;        ///< what the candidate index did (zeros when
-                           ///< the engine runs without an index)
+  IndexStats index;        ///< what the candidate index did (zeros for
+                           ///< top-k and when the engine runs without
+                           ///< an index)
 };
 
 /// One search hit, shared by range and top-k results. `id` is the stable
@@ -172,8 +176,8 @@ class QueryEngine {
   /// Current bound-cache occupancy (proven-exact pairs retained).
   size_t CacheSize() const { return cache_.Size(); }
   /// The candidate-generation index, or nullptr when use_index is off.
-  /// Exposed for persistence (store_serialize saves/adopts through it)
-  /// and for inspection; serving maintains it automatically.
+  /// Exposed for inspection (e.g. warming the view for a snapshot);
+  /// serving maintains it automatically.
   GraphIndex* index() const { return index_.get(); }
 
  private:

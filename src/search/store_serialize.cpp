@@ -1,6 +1,5 @@
 #include "search/store_serialize.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -74,7 +73,7 @@ bool ReadInvariants(std::string_view buf, size_t* offset,
 }  // namespace
 
 bool SaveGraphStore(const GraphStore& store, const std::string& path,
-                    std::string* error, GraphIndex* index) {
+                    std::string* error, GraphIndex* /*index*/) {
   // Pin one snapshot so the file is internally consistent even if the
   // store mutates mid-save; NextId is read after and only moves forward,
   // so it is always >= every id in the snapshot.
@@ -89,26 +88,6 @@ bool SaveGraphStore(const GraphStore& store, const std::string& path,
     AppendGraphBinary(&payload, snap->graph(slot));
     AppendInvariants(&payload, snap->invariants(slot));
   }
-  if (index != nullptr) {
-    // Compact first (empty overlay) so the persisted tree — and its
-    // digest — equal a deterministic from-scratch rebuild of this
-    // snapshot.
-    const PersistedIndex pi =
-        MakePersistedIndex(*index->CompactViewFor(snap));
-    AppendPod<uint8_t>(&payload, 1u);
-    AppendPod<int32_t>(&payload, pi.wl_prefix_bits);
-    AppendPod<uint64_t>(&payload, static_cast<uint64_t>(pi.nodes.size()));
-    for (size_t i = 0; i < pi.nodes.size(); ++i) {
-      AppendPod<int64_t>(&payload, pi.node_ids[i]);
-      AppendPod<int32_t>(&payload, pi.nodes[i].r_in_max);
-      AppendPod<int32_t>(&payload, pi.nodes[i].r_out_min);
-      AppendPod<int32_t>(&payload, pi.nodes[i].inner);
-    }
-    AppendPod<uint64_t>(&payload, pi.digest);
-  } else {
-    AppendPod<uint8_t>(&payload, 0u);
-  }
-
   std::ofstream out(path, std::ios::binary);
   if (!out) return Fail(error, "cannot open " + path + " for writing");
   std::string header;
@@ -125,7 +104,7 @@ bool SaveGraphStore(const GraphStore& store, const std::string& path,
 }
 
 bool LoadGraphStore(GraphStore* store, const std::string& path,
-                    std::string* error, GraphIndex* index) {
+                    std::string* error, GraphIndex* /*index*/) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Fail(error, "cannot open " + path);
   std::string file((std::istreambuf_iterator<char>(in)),
@@ -138,7 +117,7 @@ bool LoadGraphStore(GraphStore* store, const std::string& path,
   if (!ReadPod<uint64_t>(file, &offset, &magic) || magic != kMagic)
     return Fail(error, "not a GraphStore file (bad magic)");
   if (!ReadPod<uint32_t>(file, &offset, &version) ||
-      (version != 1 && version != kStoreFormatVersion))
+      (version != 1 && version != 2))
     return Fail(error, "unsupported format version " +
                            std::to_string(version));
   if (!ReadPod<uint32_t>(file, &offset, &reserved))
@@ -190,51 +169,26 @@ bool LoadGraphStore(GraphStore* store, const std::string& path,
     entries.emplace_back(static_cast<int>(id), std::move(*g));
   }
 
-  // --- index section (v2+) ---------------------------------------------
-  // Parsed and validated against the entry list *before* Restore, so a
-  // malformed file never mutates the store. Deeper checks (preorder tree
-  // shape, structural digest) need the restored snapshot and run in
-  // AdoptPersisted below — those failures are non-fatal by design: the
-  // graphs have already been verified against recomputed invariants, and
-  // the index is derived data the next query rebuilds from them.
-  PersistedIndex pi;
-  bool has_index = false;
-  if (version >= 2) {
+  // A v2 file may end in a VP-tree index section from an older writer.
+  // The index is no longer persisted, so the section is only checked for
+  // shape (flag byte, node count, exact byte length) and skipped.
+  if (version == 2) {
     uint8_t flag = 0;
     if (!ReadPod(payload, &p, &flag) || flag > 1)
       return Fail(error, "malformed index flag");
     if (flag == 1) {
-      has_index = true;
       int32_t bits = 0;
       uint64_t node_count = 0;
-      if (!ReadPod(payload, &p, &bits) ||
-          !ReadPod(payload, &p, &node_count) || bits < 1 || bits > 64)
+      if (!ReadPod(payload, &p, &bits) || !ReadPod(payload, &p, &node_count))
         return Fail(error, "malformed index header");
       if (node_count != count)
         return Fail(error, "index node count != entry count");
-      pi.wl_prefix_bits = bits;
-      pi.node_ids.reserve(node_count);
-      pi.nodes.reserve(node_count);
-      for (uint64_t i = 0; i < node_count; ++i) {
-        int64_t id = -1;
-        VpTreeNode node;
-        if (!ReadPod(payload, &p, &id) ||
-            !ReadPod(payload, &p, &node.r_in_max) ||
-            !ReadPod(payload, &p, &node.r_out_min) ||
-            !ReadPod(payload, &p, &node.inner))
-          return Fail(error, "truncated index node");
-        // Vantage ids must name graphs in the entry list (ascending by
-        // id, so a binary search suffices).
-        const auto it = std::lower_bound(
-            entries.begin(), entries.end(), id,
-            [](const auto& e, int64_t v) { return e.first < v; });
-        if (it == entries.end() || it->first != id)
-          return Fail(error, "index references unknown graph id");
-        pi.node_ids.push_back(static_cast<int>(id));
-        pi.nodes.push_back(node);
-      }
-      if (!ReadPod(payload, &p, &pi.digest))
-        return Fail(error, "truncated index digest");
+      // node*: int64 id + 3 x int32; then a uint64 digest.
+      constexpr size_t kNodeBytes = sizeof(int64_t) + 3 * sizeof(int32_t);
+      if (payload.size() - p != node_count * kNodeBytes + sizeof(uint64_t))
+        return Fail(error, "index section length does not match its "
+                           "node count");
+      p = payload.size();
     }
   }
   if (p != payload.size())
@@ -242,14 +196,6 @@ bool LoadGraphStore(GraphStore* store, const std::string& path,
 
   if (!store->Restore(std::move(entries), static_cast<int>(next_id)))
     return Fail(error, "store rejected the id sequence");
-  if (index != nullptr && has_index &&
-      pi.wl_prefix_bits == index->options().wl_prefix_bits) {
-    // Config mismatch or adoption failure (bad tree shape / digest) both
-    // skip adoption; the store is fully restored either way and the next
-    // query rebuilds the index from it.
-    std::string adopt_error;
-    (void)index->AdoptPersisted(store->Snapshot(), pi, &adopt_error);
-  }
   return true;
 }
 

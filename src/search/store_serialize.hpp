@@ -5,8 +5,7 @@
 /// little-endian), so files are not portable to an opposite-endian host
 /// — there they fail cleanly on the magic/checksum validation.
 ///
-/// File layout (version 2; version-1 files, which end after the entry
-/// list, still load):
+/// File layout (version 1, what SaveGraphStore writes):
 ///   uint64  magic "OTGSTOR1"
 ///   uint32  format version
 ///   uint32  reserved (zero)
@@ -17,30 +16,20 @@
 ///             graph          (canonical binary encoding, graph_io)
 ///             invariants     (n, m int32; wl_hash uint64;
 ///                             n int32 labels; n int32 degrees)
-///     uint8   has_index      (v2+: 1 iff an index section follows)
-///     index:  int32  wl_prefix_bits
-///             uint64 node count (== entry count)
-///             node*: int64 vantage id, int32 r_in_max, int32 r_out_min,
-///                    int32 inner        (VP-tree preorder layout)
-///             uint64 structural digest of the full rebuilt view
 ///   uint64  FNV-1a checksum of the payload bytes
+///
+/// Version-2 files (written by older builds) still load. Their payload
+/// ends in a uint8 flag; flag 1 is followed by a persisted VP-tree
+/// section (int32 wl_prefix_bits, uint64 node count == entry count,
+/// 20 bytes per node, uint64 digest). The index is no longer persisted,
+/// so the loader checks the flag and that the section's length matches
+/// its node count, then skips it.
 ///
 /// Load validates magic, version and checksum, then *recomputes* every
 /// graph's invariants and rejects the file on any mismatch with the
 /// stored ones — so a successfully loaded corpus is guaranteed
 /// bit-identical to a rebuild from the same graphs, and silent
 /// corruption of the graphs cannot slip through.
-///
-/// The index section persists only the VP-tree (partitions and postings
-/// are derived data, rebuilt from the entries on adoption); the adopted
-/// view's StructuralDigest must match the digest stored in the same
-/// file, which — because saving always compacts the view first — the
-/// writer computed from a from-scratch-equivalent view. This check is
-/// file-internal consistency, not a re-derivation: the loader never
-/// rebuilds the tree to compare, so accidental corruption is caught (by
-/// it and the FNV checksum) but a consistent file from a buggy writer
-/// would be adopted. On any index inconsistency the section is dropped
-/// and the index rebuilds from the (fully verified) graphs instead.
 #ifndef OTGED_SEARCH_STORE_SERIALIZE_HPP_
 #define OTGED_SEARCH_STORE_SERIALIZE_HPP_
 
@@ -52,25 +41,21 @@
 
 namespace otged {
 
-inline constexpr uint32_t kStoreFormatVersion = 2;
+inline constexpr uint32_t kStoreFormatVersion = 1;
 
-/// Serializes the store's current snapshot to `path`. When `index` is
-/// non-null its compacted view for that snapshot is saved alongside (a
-/// v2 index section). Returns false on I/O failure (with `error`
-/// describing it).
+/// Serializes the store's current snapshot to `path`. Returns false on
+/// I/O failure (with `error` describing it). `index` is ignored: the
+/// parameter stays only because gedbench/src/main.cpp still passes it.
 bool SaveGraphStore(const GraphStore& store, const std::string& path,
                     std::string* error = nullptr,
                     GraphIndex* index = nullptr);
 
 /// Replaces `store`'s contents with the file's. On any failure (I/O, bad
 /// magic/version, checksum mismatch, malformed entries, invariant
-/// mismatch, unparseable index section) returns false and leaves the
-/// store untouched. When `index` is non-null and the file carries an
-/// index section with matching configuration, the persisted VP-tree is
-/// adopted into `index` after validating its shape and digest against
-/// the restored snapshot; a config mismatch or a failed validation
-/// skips adoption without failing the load (the store is already fully
-/// verified, and the next query rebuilds the index from it).
+/// mismatch, malformed v2 index section) returns false and leaves the
+/// store untouched. `index` is ignored, as for SaveGraphStore; an
+/// engine's index catches up with the loaded store on its next range
+/// query.
 bool LoadGraphStore(GraphStore* store, const std::string& path,
                     std::string* error = nullptr,
                     GraphIndex* index = nullptr);

@@ -82,12 +82,10 @@ bool WriteBenchJson(const BenchReport& report, const std::string& path,
     std::fprintf(f,
                  ",\n  \"index\": {\"candidate_fraction\": %.4f, "
                  "\"partition_prune_fraction\": %.4f, "
-                 "\"label_prune_fraction\": %.4f, "
-                 "\"vptree_prune_fraction\": %.4f}",
+                 "\"label_prune_fraction\": %.4f}",
                  report.index_candidate_fraction,
                  report.index_partition_prune_fraction,
-                 report.index_label_prune_fraction,
-                 report.index_vptree_prune_fraction);
+                 report.index_label_prune_fraction);
   std::fprintf(f, "\n}\n");
   const bool ok = std::fclose(f) == 0;
   if (!ok && error) *error = "write to " + path + " failed";

@@ -41,7 +41,7 @@
 ///     "candidate_fraction":      number  candidates / (queries * corpus)
 ///     "partition_prune_fraction": number  graphs dismissed per level,
 ///     "label_prune_fraction":     number  as a fraction of all
-///     "vptree_prune_fraction":    number  (query, graph) pairs
+///                                          (query, graph) pairs
 ///   }
 #ifndef OTGED_TELEMETRY_BENCH_REPORT_HPP_
 #define OTGED_TELEMETRY_BENCH_REPORT_HPP_
@@ -81,7 +81,6 @@ struct BenchReport {
   double index_candidate_fraction = 0.0;
   double index_partition_prune_fraction = 0.0;
   double index_label_prune_fraction = 0.0;
-  double index_vptree_prune_fraction = 0.0;
 };
 
 /// The current git revision: $GITHUB_SHA if set, else `git rev-parse

@@ -202,7 +202,7 @@ def validate(doc, problems):
         index = require(doc, "index", dict, problems)
         if index is not None:
             keys = ("candidate_fraction", "partition_prune_fraction",
-                    "label_prune_fraction", "vptree_prune_fraction")
+                    "label_prune_fraction")
             for key in keys:
                 val = require(index, key, (int, float), problems)
                 if val is not None and not 0.0 <= val <= 1.0:
