@@ -23,6 +23,10 @@ struct GedSearchResult {
   NodeMatching matching;  ///< G1 node -> G2 node realizing `ged`
   bool exact = true;      ///< false for beam results / budget exhaustion
   long expansions = 0;    ///< search-effort telemetry
+  /// A thresholded search (BnbOptions::threshold) exhausted its tree
+  /// without a path within the threshold: GED > threshold is proven, and
+  /// `ged` is only a feasible upper bound (`exact` is false).
+  bool above_threshold = false;
 };
 
 /// Options for the A* searches.

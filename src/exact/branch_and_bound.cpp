@@ -23,7 +23,8 @@ struct SeqDriver {
   const Searcher& searcher;
   long budget;
   long expansions = 0;
-  int best_ged;  ///< prune bound; seeded ub + 1, strict improvements only
+  /// Prune bound: seeded min(ub, threshold) + 1, strict improvements only.
+  int best_ged;
   NodeMatching best_matching;
   bool complete = true;  ///< search space exhausted within budget
 
@@ -57,7 +58,11 @@ struct SeqDriver {
       const int delta = Searcher::KeyDelta(key), v = Searcher::KeyNode(key);
       if (s.g + delta >= best_ged) continue;  // cheap pre-prune
       searcher.Push(&s, v, delta);
-      if (s.g + searcher.HeuristicOf(s) >= best_ged) {  // admissible prune
+      // Admissible prunes: the O(1) bound, then (above the leaves) the
+      // anchor-aware one.
+      if (s.g + searcher.HeuristicOf(s) >= best_ged ||
+          (s.depth < searcher.ctx().n1 &&
+           s.g + searcher.AnchorHeuristic(s, best_ged - s.g) >= best_ged)) {
         searcher.Pop(&s);
         continue;
       }
@@ -75,30 +80,38 @@ GedSearchResult BranchAndBoundGed(const Graph& g1, const Graph& g2,
   OTGED_CHECK(g1.NumNodes() <= g2.NumNodes());
   Searcher searcher(g1, g2);
 
-  // Initial upper bound: identity-order greedy matching (always feasible).
+  // Upper bound: the seed, capped by the identity-order greedy matching
+  // (always feasible).
   int ub = opt.initial_upper_bound;
   NodeMatching greedy(static_cast<size_t>(g1.NumNodes()));
   for (int i = 0; i < g1.NumNodes(); ++i) greedy[i] = i;
-  int greedy_cost = EditCostFromMatching(g1, g2, greedy);
+  const int greedy_cost = EditCostFromMatching(g1, g2, greedy);
   if (ub < 0 || greedy_cost < ub) ub = greedy_cost;
+  const int cut = opt.threshold >= 0 ? std::min(ub, opt.threshold) : ub;
 
-  // Seed: best_ged = ub + 1 so a path matching ub is still explored; the
-  // greedy matching backs the result if nothing better is found.
-  SeqDriver driver{searcher, opt.max_visits, 0, ub + 1, greedy, true, {}};
+  // Seed: best_ged = cut + 1 so a path costing exactly `cut` is still
+  // explored.
+  SeqDriver driver{searcher, opt.max_visits, 0, cut + 1, {}, true, {}};
   driver.ranked.resize(static_cast<size_t>(std::max(g1.NumNodes(), 1)));
   DfsState root = searcher.MakeDfs();
   driver.Dfs(root);
 
   GedSearchResult res;
-  if (driver.best_ged <= ub) {
-    res.ged = driver.best_ged;
-    res.matching = driver.best_matching;
-  } else {
-    res.ged = greedy_cost;
-    res.matching = greedy;
-  }
-  res.exact = driver.complete;
   res.expansions = driver.expansions;
+  if (driver.best_ged <= cut) {
+    res.ged = driver.best_ged;
+    res.matching = std::move(driver.best_matching);
+    res.exact = driver.complete;
+    return res;
+  }
+  // Nothing within `cut`: the upper bound stands, with the greedy
+  // matching as its witness when it has one. An exhausted tree proves
+  // GED > cut; with a feasible ub that happens only when a threshold
+  // cut below it.
+  res.ged = ub;
+  if (greedy_cost == ub) res.matching = std::move(greedy);
+  res.exact = false;
+  res.above_threshold = driver.complete;
   return res;
 }
 

@@ -22,21 +22,40 @@ struct BnbOptions {
   /// search whose tree takes exactly this many expansions is complete
   /// (`exact == true`); one more node needed means incomplete.
   long max_visits = 5'000'000;
-  int initial_upper_bound = -1; ///< -1 = derive one greedily
+  /// Feasible upper bound on the GED (the cost of some edit path); -1 =
+  /// derive one greedily. The identity matching's cost caps it either way.
+  int initial_upper_bound = -1;
+  /// Decide `GED <= threshold` instead of minimizing: the search prunes
+  /// every path above min(upper bound, threshold). -1 = no threshold.
+  int threshold = -1;
 };
 
-/// Exact GED by DFS branch and bound with the same admissible heuristic
-/// as AstarGed. Returns the best result found; `exact` is true iff the
-/// search space was exhausted within budget (result proven optimal).
-/// Runs on the do/undo structure-of-arrays scratch state, exploring the
-/// identical tree in the identical order as the historical copy-based
-/// driver — only cheaper per node. Each expansion ranks its children
-/// with Searcher::RankChildren: O(1) bit counting per child on
-/// unlabeled edges, each child's bound from the incremental counters,
-/// and pruned children dropped before the sort — about a third of the
-/// per-expansion cost of the per-child neighbour walk and full sort it
-/// replaced, on unlabeled power-law pairs (`bnb_expand_powerlaw` in
-/// BENCH_kernels.json records it). Requires n1 <= n2 <= kMaxExactNodes.
+/// Exact GED by DFS branch and bound. Returns the best result found,
+/// never above the upper bound (the seed, or the identity matching's
+/// cost when that is lower): `matching` realizes `ged`, or is empty when
+/// the search found nothing under a seed it has no witness for.
+///
+/// With `threshold` >= 0 the search settles one of three outcomes:
+///   - it found a path within the threshold: `ged` is the exact GED with
+///     `exact == true` if the tree was exhausted, a feasible distance
+///     <= threshold with `exact == false` if the budget ran out;
+///   - the tree was exhausted without one: `above_threshold == true`
+///     (GED > threshold is proven) and `exact == false`, `ged` the upper
+///     bound;
+///   - the budget ran out first: neither flag, `ged` the upper bound.
+/// A completed search finds the same optimal matching with or without a
+/// threshold: child order never depends on the bound, and the bound
+/// only prunes paths costlier than the optimum.
+///
+/// Runs on the do/undo structure-of-arrays scratch state. Each expansion
+/// ranks its children with Searcher::RankChildren (O(1) bit counting per
+/// child on unlabeled edges, pruned children dropped before the sort);
+/// each child the O(1) bound keeps is then checked against the
+/// anchor-aware bound (Searcher::AnchorHeuristic, as in the AStar-BMao
+/// and LSa exact solvers), which prices the edges between unmapped and
+/// mapped nodes. `bnb_expand_powerlaw` in BENCH_kernels.json records the
+/// per-expansion cost, `bnb_prove_threshold` the time to decide a
+/// hard-range pair. Requires n1 <= n2 <= kMaxExactNodes.
 GedSearchResult BranchAndBoundGed(const Graph& g1, const Graph& g2,
                                   const BnbOptions& opt = {});
 

@@ -17,13 +17,16 @@
 ///                Child.
 ///
 /// The branch-and-bound generates children through one routine,
-/// Searcher::RankChildren. It builds the image mask S of the expanded
-/// node's mapped neighbours once, then prices every free G2 node with a
-/// few popcounts (O(1) per child on unlabeled edges; edge-labeled pairs
-/// keep the O(deg) DeltaFast walk for the delta), computes each child's
-/// f = g + delta + h straight from the incremental counters without a
-/// Push, drops the children the bound already prunes, and
-/// insertion-sorts the survivors as packed `delta << 6 | v` keys.
+/// Searcher::RankChildren. It reads the image mask S of the expanded
+/// node's mapped neighbours off the state (DfsState::anchor), then prices
+/// every free G2 node with a few popcounts (O(1) per child on unlabeled
+/// edges; edge-labeled pairs keep the O(deg) DeltaFast walk for the
+/// delta), computes each child's f = g + delta + h straight from the
+/// incremental counters without a Push, drops the children the bound
+/// already prunes, and insertion-sorts the survivors as packed
+/// `delta << 6 | v` keys. A child that survives the O(1) bound is then
+/// checked against the anchor-aware bound (Searcher::AnchorHeuristic),
+/// which prices the edges to already-mapped nodes.
 ///
 /// Not part of the public API.
 #ifndef OTGED_EXACT_SEARCH_COMMON_HPP_
@@ -52,6 +55,7 @@ struct SearchContext {
   std::vector<int> g1_label, g2_label;  // compacted label ids
   std::vector<uint64_t> adj1_mask, adj2_mask;  // per-node neighbor bitsets
   std::vector<uint64_t> order_prefix;  // [d] = G1 nodes mapped at depth d
+  uint64_t all1 = 0;          // bitmask of every G1 node
   uint64_t all2 = 0;          // bitmask of every G2 node
   bool edge_labeled = false;  // either graph carries a non-zero edge label
 
@@ -61,6 +65,7 @@ struct SearchContext {
     OTGED_CHECK(n1 <= n2);
     OTGED_CHECK_MSG(n2 <= kMaxExactNodes,
                     "exact search supports up to 64 nodes");
+    all1 = n1 == 64 ? ~0ull : (1ull << n1) - 1;
     all2 = n2 == 64 ? ~0ull : (1ull << n2) - 1;
     edge_labeled = g1.HasEdgeLabels() || g2.HasEdgeLabels();
     std::map<Label, int> remap;
@@ -121,6 +126,9 @@ struct DfsState {
   std::vector<int> path_v;      ///< depth -> chosen G2 node
   std::vector<int> path_delta;  ///< depth -> cost charged at that depth
   uint64_t used = 0;            ///< bitmask of mapped G2 nodes
+  /// Unmapped G1 node u -> A(u), the images of u's mapped neighbours
+  /// (entries of mapped nodes are left as they were when they mapped).
+  std::vector<uint64_t> anchor;
   int depth = 0;
   int g = 0;        ///< cost of the partial mapping
   int surplus = 0;  ///< sum_l max(0, c1_rem[l] - c2_rem[l])
@@ -242,6 +250,7 @@ class Searcher {
     s.c2_rem = c2_rem_;
     s.path_v.assign(static_cast<size_t>(ctx_.n1), -1);
     s.path_delta.assign(static_cast<size_t>(ctx_.n1), 0);
+    s.anchor.assign(static_cast<size_t>(ctx_.n1), 0);
     s.m1_rem = ctx_.g1.NumEdges();
     s.m2_rem = ctx_.g2.NumEdges();
     for (int l = 0; l < ctx_.num_labels; ++l)
@@ -277,7 +286,8 @@ class Searcher {
   }
 
   /// Maps order[depth] -> v, charging `delta` (the Delta of v) and
-  /// updating every incremental counter in O(1). The surplus update
+  /// updating every incremental counter in O(1), and v into the anchor
+  /// masks of u's unmapped neighbours in O(deg). The surplus update
   /// applies the two label decrements in sequence: removing an unmapped
   /// G1 node of label a lowers the surplus iff a was oversubscribed, and
   /// removing an unmapped G2 node of label b raises it iff b was not.
@@ -292,6 +302,9 @@ class Searcher {
     s->m1_rem -=
         std::popcount(ctx_.adj1_mask[u] & ctx_.order_prefix[s->depth]);
     s->m2_rem -= std::popcount(ctx_.adj2_mask[v] & s->used);
+    for (uint64_t m = ctx_.adj1_mask[u] & ~ctx_.order_prefix[s->depth + 1];
+         m != 0; m &= m - 1)
+      s->anchor[std::countr_zero(m)] |= 1ull << v;
     s->map1to2[u] = v;
     s->map2to1[v] = u;
     s->used |= 1ull << v;
@@ -310,7 +323,7 @@ class Searcher {
   /// the counters Push would leave, without a Push: the surplus after
   /// the two label decrements, m1_rem minus u's mapped neighbours, and
   /// m2_rem minus v's used neighbours. On unlabeled edges the delta is
-  /// pure bit counting over S, the images of u's mapped neighbours:
+  /// pure bit counting over S = A(u), the images of u's mapped neighbours:
   ///   [l(u) != l(v)] + |S| - |N2(v) & S| + |N2(v) & used & ~S|
   /// (deleted edges to S, then inserted edges to mapped non-neighbours).
   // otged-lint: hot-path
@@ -318,12 +331,9 @@ class Searcher {
                     std::vector<int>* kids) const {
     const int u = ctx_.order[s.depth];
     const int a = ctx_.g1_label[u];
-    const uint64_t mapped_nbrs =
-        ctx_.adj1_mask[u] & ctx_.order_prefix[s.depth];
-    uint64_t img = 0;  // S
-    for (uint64_t m = mapped_nbrs; m != 0; m &= m - 1)
-      img |= 1ull << s.map1to2[std::countr_zero(m)];
-    const int deg_mapped = std::popcount(mapped_nbrs);  // |S|
+    // S, and |S| = u's mapped neighbours (the partial map is 1:1).
+    const uint64_t img = s.anchor[u];
+    const int deg_mapped = std::popcount(img);
     const int surplus_a = s.surplus - (s.c1_rem[a] > s.c2_rem[a] ? 1 : 0);
     const int m1 = s.m1_rem - deg_mapped;
     const int base = s.g + (ctx_.n2 - ctx_.n1);
@@ -364,6 +374,9 @@ class Searcher {
     s->used &= ~(1ull << v);
     s->map1to2[u] = -1;
     s->map2to1[v] = -1;
+    for (uint64_t m = ctx_.adj1_mask[u] & ~ctx_.order_prefix[s->depth + 1];
+         m != 0; m &= m - 1)
+      s->anchor[std::countr_zero(m)] &= ~(1ull << v);
     s->m1_rem +=
         std::popcount(ctx_.adj1_mask[u] & ctx_.order_prefix[s->depth]);
     s->m2_rem += std::popcount(ctx_.adj2_mask[v] & s->used);
@@ -381,6 +394,52 @@ class Searcher {
   // otged-lint: hot-path
   int HeuristicOf(const DfsState& s) const {
     return s.surplus + (ctx_.n2 - ctx_.n1) + std::abs(s.m1_rem - s.m2_rem);
+  }
+
+  /// Anchor-aware admissible heuristic over the SoA state, after Chang
+  /// et al., "Efficient Graph Edit Distance Computation and Verification
+  /// via Anchor-aware Lower Bound Estimation". The remaining edges split
+  /// into anchored ones (one endpoint mapped) and free-free ones, and any
+  /// completion maps anchored G1 edges onto anchored G2 pairs and
+  /// free-free edges onto free-free pairs. An unmapped G1 node u sent to
+  /// an unmapped G2 node w pays at least |A(u) ^ B(w)| on its anchored
+  /// edges, with A(u) the images of u's mapped neighbours and
+  /// B(w) = N2(w) & used; the free-free edges pay at least |ff1 - ff2|.
+  /// With the node terms of HeuristicOf:
+  ///   surplus + (n2 - n1) + sum_u min_w |A(u) ^ B(w)| + |ff1 - ff2|.
+  /// Only edge existence is priced and a relabel never costs less than 0,
+  /// so the bound is admissible on edge-labeled pairs too. It is neither
+  /// above nor below HeuristicOf in general (it ignores the anchored
+  /// edges of G2 nodes left unmatched), so callers check both. Summing
+  /// stops once the value reaches `cap`; the result is then >= cap.
+  /// O(n1 * n2) popcounts; meant for states the O(1) bound did not prune.
+  // otged-lint: hot-path
+  int AnchorHeuristic(const DfsState& s, int cap) const {
+    const uint64_t free1 = ctx_.all1 & ~ctx_.order_prefix[s.depth];
+    uint64_t b[kMaxExactNodes];  // the non-empty B(w) of unmapped w
+    int nb = 0, anchored1 = 0, anchored2 = 0;
+    bool empty_b = false;  // some unmapped w has B(w) == 0
+    for (uint64_t m = ctx_.all2 & ~s.used; m != 0; m &= m - 1) {
+      const uint64_t bw = ctx_.adj2_mask[std::countr_zero(m)] & s.used;
+      anchored2 += std::popcount(bw);
+      if (bw == 0) {
+        empty_b = true;
+      } else {
+        b[nb++] = bw;
+      }
+    }
+    for (uint64_t m = free1; m != 0; m &= m - 1)
+      anchored1 += std::popcount(s.anchor[std::countr_zero(m)]);
+    int h = s.surplus + (ctx_.n2 - ctx_.n1) +
+            std::abs((s.m1_rem - anchored1) - (s.m2_rem - anchored2));
+    for (uint64_t m = free1; m != 0 && h < cap; m &= m - 1) {
+      const uint64_t a = s.anchor[std::countr_zero(m)];
+      int best = empty_b ? std::popcount(a) : kMaxExactNodes;
+      for (int i = 0; i < nb && best > 0; ++i)
+        best = std::min(best, std::popcount(a ^ b[i]));
+      h += best;
+    }
+    return h;
   }
 
   NodeMatching ExtractMatching(const DfsState& s) const {

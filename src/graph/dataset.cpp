@@ -172,7 +172,8 @@ GedPair MakeExactPair(const Graph& a, const Graph& b, long budget) {
   opt.max_visits = budget;
   opt.initial_upper_bound = ub.ged;
   GedSearchResult res = BranchAndBoundGed(pair.g1, pair.g2, opt);
-  if (res.ged <= ub.ged) {
+  // An empty matching means the search found nothing under the seed.
+  if (!res.matching.empty()) {
     pair.ged = res.ged;
     pair.gt_matching = res.matching;
   } else {

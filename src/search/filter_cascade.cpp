@@ -272,7 +272,10 @@ CascadeVerdict FilterCascade::BoundedDistance(const Graph& query,
     mark(CascadeTier::kOt);
   }
 
-  // --- tier 4: exact verify (branch and bound, seeded with best UB) ----
+  // --- tier 4: exact verify (branch and bound) ------------------------
+  // Seeded with the best UB. A range read only asks whether GED <= tau,
+  // so it also thresholds the search at tau (here tau < ub); top-k needs
+  // the distance itself and searches up to the UB.
   stats->exact_calls++;
 #if OTGED_TELEMETRY_COMPILED
   if (metered) {
@@ -280,44 +283,53 @@ CascadeVerdict FilterCascade::BoundedDistance(const Graph& query,
     Metrics().exact_calls->Inc();
   }
 #endif
-  GedSearchResult exact = ExactSearch(*g1, *g2, opt_.exact_budget, ub);
+  GedSearchResult exact = ExactSearch(*g1, *g2, opt_.exact_budget, ub,
+                                      need_distance ? -1 : tau);
   exact_expansions = exact.expansions;
+  stats->decided_exact++;
+#if OTGED_TELEMETRY_COMPILED
+  if (metered) Metrics().decided[2]->Inc();
+#endif
+  best_ub = exact.ged;
+  v.tier = CascadeTier::kExact;
+  if (exact.above_threshold) {
+    // The exhausted tree proves GED > tau: a dismissal, like an LB's.
+    best_lb = tau + 1;
+    mark(CascadeTier::kExact);
+    return finish(v);
+  }
   if (!exact.exact) {
     stats->exact_incomplete++;
 #if OTGED_TELEMETRY_COMPILED
     if (metered) Metrics().exact_incomplete->Inc();
 #endif
   }
-  stats->decided_exact++;
-#if OTGED_TELEMETRY_COMPILED
-  if (metered) Metrics().decided[2]->Inc();
-#endif
-  // On budget exhaustion `exact.ged` is only a feasible upper bound; the
-  // only valid dismissal evidence is an admissible LB > tau, and here
-  // lb <= tau. Keep the candidate (no false dismissals, ever) and flag
-  // the distance as unproven.
+  // On budget exhaustion `exact.ged` is only a feasible upper bound, and
+  // nothing proves GED > tau. Keep the candidate (no false dismissals,
+  // ever) and flag the distance as unproven.
   v.within = exact.ged <= tau || !exact.exact;
   v.ged = exact.ged;
   v.exact_distance = exact.exact;
-  v.tier = CascadeTier::kExact;
-  best_ub = exact.ged;
   mark(CascadeTier::kExact);
   return finish(v);
 }
 
 GedSearchResult FilterCascade::ExactSearch(const Graph& g1, const Graph& g2,
                                            long budget,
-                                           int initial_upper_bound) const {
+                                           int initial_upper_bound,
+                                           int threshold) const {
   if (g2.NumNodes() <= kMaxExactNodes) {
     BnbOptions bnb;
     bnb.max_visits = budget;
     bnb.initial_upper_bound = initial_upper_bound;
+    bnb.threshold = threshold;
     return BranchAndBoundGed(g1, g2, bnb);
   }
   // Too large for the solver (it keeps G2's used nodes in one 64-bit
   // mask): the best upper bound, unproven, after 0 expansions — the seed,
   // or the identity matching's cost (with the matching as its witness)
-  // when there is no seed or the identity is cheaper.
+  // when there is no seed or the identity is cheaper. Nothing is searched,
+  // so nothing is proven about the threshold either.
   GedSearchResult res;
   res.exact = false;
   res.expansions = 0;

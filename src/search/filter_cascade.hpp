@@ -12,8 +12,12 @@
 ///                                          bound; LB == UB certifies
 ///   tier 3  OT verify           O(I n^3)   GEDGW conditional gradient +
 ///                                          k-best edit-path upper bound
-///   tier 4  exact verify        exp(n)     branch-and-bound, seeded with
-///                                          the best upper bound
+///   tier 4  exact verify        exp(n)     branch-and-bound with an
+///                                          anchor-aware bound, seeded
+///                                          with the best upper bound;
+///                                          range reads threshold it at
+///                                          tau (an exhausted tree proves
+///                                          GED > tau)
 ///
 /// Lower bounds are admissible and upper bounds are witnessed by feasible
 /// edit paths, so a range decision (`GED <= tau`?) made at any tier equals
@@ -100,7 +104,7 @@ struct CascadeProbe {
 /// Outcome of a bounded-distance evaluation.
 struct CascadeVerdict {
   bool within = false;  ///< GED(q, g) <= tau
-  int ged = -1;         ///< best distance known (-1 if dismissed by a LB)
+  int ged = -1;         ///< best distance known (-1 if dismissed by a bound)
   bool exact_distance = false;  ///< `ged` is provably the exact GED
   CascadeTier tier = CascadeTier::kInvariant;  ///< deciding tier
 };
@@ -131,15 +135,18 @@ class FilterCascade {
 
   /// Tier-4 exact-search entry point, shared by BoundedDistance and the
   /// QueryEngine's top-k seed refinement: the sequential
-  /// branch-and-bound, seeded with `initial_upper_bound` and capped at
-  /// `budget` expansions. A pair over kMaxExactNodes nodes is not
-  /// searched: it gets its best upper bound back (the seed, or the
-  /// identity matching's cost when that is lower or there is no seed)
-  /// with `exact == false` and 0 expansions, so callers count it as
-  /// incomplete. `matching` is then the identity when that realizes
-  /// `ged`, and empty otherwise.
+  /// branch-and-bound, seeded with `initial_upper_bound` (a feasible
+  /// bound, or -1), thresholded at `threshold` (-1: none; see
+  /// BnbOptions) and capped at `budget` expansions. `ged` never exceeds
+  /// the seed: when the search finds nothing below it, the seed comes
+  /// back with an empty `matching` (the identity when that is no
+  /// costlier). A pair over kMaxExactNodes nodes is not searched: it gets
+  /// its best upper bound back the same way, with `exact == false`,
+  /// `above_threshold == false` and 0 expansions, so callers count it as
+  /// incomplete.
   GedSearchResult ExactSearch(const Graph& g1, const Graph& g2, long budget,
-                              int initial_upper_bound) const;
+                              int initial_upper_bound,
+                              int threshold = -1) const;
 
  private:
   CascadeOptions opt_;

@@ -5,12 +5,15 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <utility>
 #include <vector>
 
 #include "exact/search_common.hpp"
 #include "graph/generator.hpp"
 #include "heuristics/bipartite.hpp"
+#include "search/filter_cascade.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace otged {
 namespace {
@@ -117,6 +120,39 @@ TEST(BeamTest, HugeBeamIsExhaustiveAndExact) {
   }
 }
 
+/// Small pairs A* settles quickly, cycling through four families:
+/// unrelated power-law graphs, unlabeled edit pairs of LINUX-like and of
+/// power-law graphs, and edit pairs of AIDS-like molecules with three
+/// edge labels (edge relabels included). Ordered so n1 <= n2.
+std::pair<Graph, Graph> VerifyPair(int trial, Rng* rng) {
+  Graph a, b;
+  if (trial % 4 == 0) {
+    a = PowerLawGraph(rng->UniformInt(5, 9), rng->UniformInt(1, 2), rng);
+    b = PowerLawGraph(rng->UniformInt(5, 9), rng->UniformInt(1, 2), rng);
+  } else {
+    SyntheticEditOptions opt;
+    opt.num_edits = rng->UniformInt(1, 5);
+    Graph base;
+    if (trial % 4 == 1) {
+      base = LinuxLikeGraph(rng, 5, 9);
+      opt.allow_relabel = false;
+    } else if (trial % 4 == 2) {
+      base = PowerLawGraph(rng->UniformInt(5, 9), 2, rng);
+      opt.allow_relabel = false;
+    } else {
+      base = AidsLikeGraph(rng, 5, 9);
+      AssignRandomEdgeLabels(&base, 3, rng);
+      opt.num_labels = 29;
+      opt.num_edge_labels = 3;
+    }
+    GedPair p = SyntheticEditPair(base, opt, rng);
+    a = std::move(p.g1);
+    b = std::move(p.g2);
+  }
+  if (a.NumNodes() > b.NumNodes()) std::swap(a, b);
+  return {std::move(a), std::move(b)};
+}
+
 TEST(BnbTest, AgreesWithAstar) {
   Rng rng(7);
   for (int trial = 0; trial < 15; ++trial) {
@@ -128,6 +164,27 @@ TEST(BnbTest, AgreesWithAstar) {
     EXPECT_TRUE(bnb.exact);
     EXPECT_EQ(bnb.ged, astar->ged) << "trial " << trial;
   }
+  // The anchor-aware bound only prunes what cannot beat the incumbent:
+  // seeded or not, the search still proves A*'s distance on 400 more
+  // pairs, and its matching realizes it.
+  int labeled = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto [g1, g2] = VerifyPair(trial, &rng);
+    if (g1.HasEdgeLabels() || g2.HasEdgeLabels()) ++labeled;
+    const auto astar = AstarGed(g1, g2);
+    ASSERT_TRUE(astar.has_value()) << "trial " << trial;
+    BnbOptions opt;
+    const GedSearchResult plain = BranchAndBoundGed(g1, g2, opt);
+    opt.initial_upper_bound = ClassicGed(g1, g2).ged;
+    const GedSearchResult seeded = BranchAndBoundGed(g1, g2, opt);
+    for (const GedSearchResult& r : {plain, seeded}) {
+      EXPECT_TRUE(r.exact) << "trial " << trial;
+      EXPECT_EQ(r.ged, astar->ged) << "trial " << trial;
+      EXPECT_EQ(EditCostFromMatching(g1, g2, r.matching), r.ged)
+          << "trial " << trial;
+    }
+  }
+  EXPECT_GE(labeled, 90);
 }
 
 TEST(BnbTest, UpperBoundHintSpeedsSearch) {
@@ -174,6 +231,143 @@ TEST(BnbTest, BudgetBoundaryIsInclusive) {
         << "trial " << trial;
   }
   EXPECT_GT(boundary_cases, 0);
+}
+
+TEST(BnbTest, SeedBelowGreedyCostIsNeverExceeded) {
+  // A starved search that finds nothing under its seed hands the seed
+  // back, never the costlier identity matching it starts from — a top-k
+  // probe refined this way must not loosen its bound.
+  Rng rng(12);
+  const FilterCascade cascade;
+  int seeded_cases = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    Graph g1 = PowerLawGraph(rng.UniformInt(10, 14), 2, &rng);
+    Graph g2 = PowerLawGraph(rng.UniformInt(14, 16), 2, &rng);
+    NodeMatching identity(static_cast<size_t>(g1.NumNodes()));
+    std::iota(identity.begin(), identity.end(), 0);
+    const int seed = ClassicGed(g1, g2).ged;
+    if (seed >= EditCostFromMatching(g1, g2, identity)) continue;
+    ++seeded_cases;
+    BnbOptions opt;
+    opt.max_visits = 1;
+    opt.initial_upper_bound = seed;
+    const GedSearchResult direct = BranchAndBoundGed(g1, g2, opt);
+    const GedSearchResult routed = cascade.ExactSearch(g1, g2, 1, seed);
+    for (const GedSearchResult& r : {direct, routed}) {
+      EXPECT_FALSE(r.exact) << "trial " << trial;
+      EXPECT_FALSE(r.above_threshold) << "trial " << trial;
+      EXPECT_LE(r.ged, seed) << "trial " << trial;
+      if (!r.matching.empty()) {
+        EXPECT_EQ(EditCostFromMatching(g1, g2, r.matching), r.ged);
+      }
+    }
+  }
+  EXPECT_GT(seeded_cases, 0);
+}
+
+TEST(BnbTest, ThresholdContractAgainstAstar) {
+  // With a threshold, a completed search either proves GED <= tau with
+  // the exact distance and the very matching the unthresholded search
+  // returns, or proves GED > tau without claiming a distance. A budget
+  // of one expansion settles neither.
+  Rng rng(14);
+  int within = 0, above = 0, starved = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    const auto [g1, g2] = VerifyPair(trial, &rng);
+    const auto astar = AstarGed(g1, g2);
+    ASSERT_TRUE(astar.has_value()) << "trial " << trial;
+    const int ged = astar->ged;
+    BnbOptions opt;
+    opt.initial_upper_bound = ClassicGed(g1, g2).ged;
+    const GedSearchResult full = BranchAndBoundGed(g1, g2, opt);
+    ASSERT_TRUE(full.exact);
+    for (int tau = std::max(0, ged - 2); tau <= ged + 1; ++tau) {
+      opt.threshold = tau;
+      opt.max_visits = BnbOptions{}.max_visits;
+      const GedSearchResult r = BranchAndBoundGed(g1, g2, opt);
+      if (ged <= tau) {
+        ++within;
+        EXPECT_TRUE(r.exact) << "trial " << trial << " tau " << tau;
+        EXPECT_FALSE(r.above_threshold);
+        EXPECT_EQ(r.ged, ged) << "trial " << trial << " tau " << tau;
+        EXPECT_EQ(r.matching, full.matching)
+            << "trial " << trial << " tau " << tau;
+      } else {
+        ++above;
+        EXPECT_TRUE(r.above_threshold) << "trial " << trial << " tau " << tau;
+        EXPECT_FALSE(r.exact) << "trial " << trial << " tau " << tau;
+        EXPECT_GT(r.ged, tau);
+        EXPECT_LE(r.ged, opt.initial_upper_bound);
+      }
+      if (r.expansions > 1) {
+        ++starved;
+        opt.max_visits = 1;
+        const GedSearchResult s = BranchAndBoundGed(g1, g2, opt);
+        EXPECT_FALSE(s.exact) << "trial " << trial << " tau " << tau;
+        EXPECT_FALSE(s.above_threshold) << "trial " << trial << " tau " << tau;
+        EXPECT_LE(s.ged, opt.initial_upper_bound);
+      }
+    }
+  }
+  EXPECT_GT(within, 100);
+  EXPECT_GT(above, 100);
+  EXPECT_GT(starved, 50);
+}
+
+TEST(ExactTierTest, ThresholdDismissalIsSettledAndCounted) {
+  // Range reads threshold tier 4 at tau. A pair it proves above tau is
+  // dismissed at kExact with no distance, counted as decided (not as
+  // incomplete), and the global counters agree with the returned stats.
+  CascadeOptions copt;
+  copt.use_ot_verify = false;  // force bound gaps into tier 4
+  const FilterCascade cascade(copt);
+#if OTGED_TELEMETRY_COMPILED
+  telemetry::SetEnabled(true);
+  const telemetry::MetricsSnapshot before = telemetry::Registry().Snapshot();
+#endif
+  Rng rng(15);
+  CascadeStats total;
+  int dismissed = 0;
+  for (int trial = 0; trial < 80; ++trial) {
+    const auto [g1, g2] = VerifyPair(trial, &rng);
+    const auto astar = AstarGed(g1, g2);
+    ASSERT_TRUE(astar.has_value());
+    const GraphInvariants i1 = ComputeInvariants(g1);
+    const GraphInvariants i2 = ComputeInvariants(g2);
+    for (int tau = 1; tau <= 4; ++tau) {
+      CascadeStats st;
+      CascadeProbe probe;
+      const CascadeVerdict v = cascade.BoundedDistance(
+          g1, i1, g2, i2, tau, /*need_distance=*/false, &st, &probe);
+      EXPECT_EQ(v.within, astar->ged <= tau)
+          << "trial " << trial << " tau " << tau;
+      EXPECT_EQ(st.SettledTotal(), st.candidates);
+      EXPECT_EQ(st.exact_incomplete, 0);
+      if (v.tier == CascadeTier::kExact && !v.within) {
+        ++dismissed;
+        EXPECT_EQ(v.ged, -1);
+        EXPECT_FALSE(v.exact_distance);
+        EXPECT_EQ(st.decided_exact, 1);
+        EXPECT_EQ(st.exact_calls, 1);
+        EXPECT_EQ(probe.lb, tau + 1);
+        EXPECT_GT(probe.ub, tau);
+      }
+      total.Merge(st);
+    }
+  }
+  EXPECT_GT(dismissed, 20);
+  EXPECT_EQ(total.SettledTotal(), total.candidates);
+#if OTGED_TELEMETRY_COMPILED
+  const telemetry::MetricsSnapshot after = telemetry::Registry().Snapshot();
+  auto delta = [&](const char* name) {
+    return after.CounterValue(name) - before.CounterValue(name);
+  };
+  EXPECT_EQ(delta("otged_cascade_candidates_total"), total.candidates);
+  EXPECT_EQ(delta("otged_cascade_decided_total{tier=\"exact\"}"),
+            total.decided_exact);
+  EXPECT_EQ(delta("otged_cascade_exact_calls_total"), total.exact_calls);
+  EXPECT_EQ(delta("otged_cascade_exact_incomplete_total"), 0);
+#endif
 }
 
 TEST(ExactPropertyTest, GedIsSymmetricUnderPairSwap) {
@@ -273,6 +467,15 @@ TEST(SearchScratchTest, MatchesRecomputeReferenceOnRandomWalks) {
       std::vector<int> free_v;
       for (int v = 0; v < n2; ++v)
         if (!(s.used >> v & 1)) free_v.push_back(v);
+      // A(u) of every unmapped G1 node: images of its mapped neighbours.
+      for (int i = depth; i < n1; ++i) {
+        const int u = searcher.ctx().order[static_cast<size_t>(i)];
+        uint64_t want = 0;
+        for (int w : g1.Neighbors(u))
+          if (s.map1to2[w] >= 0) want |= 1ull << s.map1to2[w];
+        ASSERT_EQ(d.anchor[static_cast<size_t>(u)], want)
+            << "trial " << trial << " depth " << depth << " u " << u;
+      }
       // Reference ranking: (delta, v) ascending, with each child's f.
       std::vector<std::pair<int, int>> ranked;
       std::vector<int> child_f(static_cast<size_t>(n2), 0);
@@ -324,10 +527,59 @@ TEST(SearchScratchTest, MatchesRecomputeReferenceOnRandomWalks) {
     EXPECT_EQ(d.map2to1, fresh.map2to1);
     EXPECT_EQ(d.c1_rem, fresh.c1_rem);
     EXPECT_EQ(d.c2_rem, fresh.c2_rem);
+    EXPECT_EQ(d.anchor, fresh.anchor);
   }
   // The edge-labeled branch and the 64-node edge really were exercised.
   EXPECT_GE(labeled_pairs, 30);
   EXPECT_EQ(max_n2, 64);
+}
+
+/// Cheapest total cost of any completion of `s`, by enumeration.
+int BestCompletion(const internal::Searcher& searcher,
+                   const internal::SearchState& s) {
+  if (s.depth == searcher.ctx().n1) return s.g + searcher.CompletionCost(s);
+  int best = std::numeric_limits<int>::max();
+  for (int v = 0; v < searcher.ctx().n2; ++v)
+    if (!(s.used >> v & 1))
+      best = std::min(best, BestCompletion(searcher, searcher.Child(s, v)));
+  return best;
+}
+
+// The anchor-aware heuristic never overestimates the cheapest completion
+// (checked by enumeration on small pairs, edge-labeled ones included),
+// and its early exit at `cap` agrees with the full sum below the cap.
+TEST(SearchScratchTest, AnchorHeuristicIsAdmissible) {
+  Rng rng(778);
+  constexpr int kInf = std::numeric_limits<int>::max();
+  int checked = 0, labeled = 0, tighter = 0;
+  for (int trial = 0; checked < 150; ++trial) {
+    auto [g1, g2] = SamplePair(trial, &rng);
+    if (g2.NumNodes() > 6) continue;
+    if (trial % 2 == 0) LabelSomeEdges(&g2, &rng);
+    ++checked;
+    internal::Searcher searcher(g1, g2);
+    if (searcher.ctx().edge_labeled) ++labeled;
+    internal::SearchState s = searcher.Root();
+    internal::DfsState d = searcher.MakeDfs();
+    for (int depth = 0; depth < searcher.ctx().n1; ++depth) {
+      const int h = searcher.AnchorHeuristic(d, kInf);
+      ASSERT_LE(d.g + h, BestCompletion(searcher, s))
+          << "trial " << trial << " depth " << depth;
+      if (h > searcher.HeuristicOf(d)) ++tighter;
+      for (const int cap : {0, h - 1, h, h + 1})
+        ASSERT_EQ(std::min(searcher.AnchorHeuristic(d, cap), cap),
+                  std::min(h, cap));
+      std::vector<int> free_v;
+      for (int v = 0; v < searcher.ctx().n2; ++v)
+        if (!(s.used >> v & 1)) free_v.push_back(v);
+      const int v = free_v[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int>(free_v.size()) - 1))];
+      searcher.Push(&d, v, searcher.DeltaFast(d, v));
+      s = searcher.Child(s, v);
+    }
+  }
+  EXPECT_GE(labeled, 50);
+  EXPECT_GT(tighter, 0);  // the bound does prune beyond the O(1) one
 }
 
 }  // namespace
