@@ -317,12 +317,10 @@ int main(int argc, char** argv) {
   report.tier_fractions[2] =
       static_cast<double>(cascade_total.decided_heuristic) / cand;
   report.tier_fractions[3] =
-      static_cast<double>(cascade_total.decided_ot) / cand;
-  report.tier_fractions[4] =
       static_cast<double>(cascade_total.decided_exact) / cand;
-  report.tier_fractions[5] =
+  report.tier_fractions[4] =
       static_cast<double>(cascade_total.cache_hits) / cand;
-  report.tier_fractions[6] =
+  report.tier_fractions[5] =
       static_cast<double>(cascade_total.pruned_index) / cand;
   report.cache_hit_rate =
       static_cast<double>(cascade_total.cache_hits) / cand;

@@ -4,8 +4,9 @@
 /// Six sections:
 ///   1. PRUNING    — range queries over a power-law corpus; reports the
 ///                   fraction of candidate pairs dismissed by the
-///                   invariant + BRANCH tiers, i.e. before any OT or
-///                   exact solver call (target: >= 50%).
+///                   index and the invariant + BRANCH lower bounds,
+///                   i.e. before the upper-bound or exact solver runs
+///                   (target: >= 50%).
 ///   2. CORRECTNESS— range results on a small AIDS-like corpus compared
 ///                   pair-by-pair against brute-force exact GED.
 ///   3. THROUGHPUT — queries/second for 1, 2 and 4 worker threads over
@@ -116,13 +117,13 @@ int main(int argc, char** argv) {
     total.Merge(res.stats.cascade);
   std::printf(
       "  %ld candidate pairs: %ld index-pruned, %ld invariant-pruned, "
-      "%ld branch-pruned, %ld heuristic-decided, %ld ot-decided, "
+      "%ld branch-pruned, %ld heuristic-decided, "
       "%ld exact-decided (%ld kept unproven on budget exhaustion)\n",
       total.candidates, total.pruned_index, total.pruned_invariant,
-      total.pruned_branch, total.decided_heuristic, total.decided_ot,
-      total.decided_exact, total.exact_incomplete);
+      total.pruned_branch, total.decided_heuristic, total.decided_exact,
+      total.exact_incomplete);
   double pruned = total.PrunedBeforeSolvers();
-  std::printf("  pruned before any OT/exact solver call: %.1f%%  [%s]\n\n",
+  std::printf("  pruned before any upper-bound/exact solver: %.1f%%  [%s]\n\n",
               100.0 * pruned, pruned >= 0.5 ? "PASS >=50%" : "FAIL <50%");
 
   // ------------------------------------------------------ 2. correctness
@@ -216,10 +217,10 @@ int main(int argc, char** argv) {
       for (const RangeResult& r : results)
         pass_total.Merge(r.stats.cascade);
       std::printf("  pass %d: %.3f s | %ld cache hits / %ld candidates | "
-                  "%ld OT calls, %ld exact calls | %zu pairs cached\n",
+                  "%ld exact calls | %zu pairs cached\n",
                   pass, pass_sec[pass], pass_total.cache_hits,
-                  pass_total.candidates, pass_total.ot_calls,
-                  pass_total.exact_calls, engine2.CacheSize());
+                  pass_total.candidates, pass_total.exact_calls,
+                  engine2.CacheSize());
     }
     std::printf("  warm speedup: %.2fx  [%s]\n",
                 pass_sec[0] / pass_sec[1],
@@ -306,11 +307,10 @@ int main(int argc, char** argv) {
         static_cast<double>(slo_total.pruned_branch) / cand;
     report.tier_fractions[2] =
         static_cast<double>(slo_total.decided_heuristic) / cand;
-    report.tier_fractions[3] = static_cast<double>(slo_total.decided_ot) / cand;
-    report.tier_fractions[4] =
+    report.tier_fractions[3] =
         static_cast<double>(slo_total.decided_exact) / cand;
-    report.tier_fractions[5] = static_cast<double>(slo_total.cache_hits) / cand;
-    report.tier_fractions[6] =
+    report.tier_fractions[4] = static_cast<double>(slo_total.cache_hits) / cand;
+    report.tier_fractions[5] =
         static_cast<double>(slo_total.pruned_index) / cand;
     report.cache_hit_rate = static_cast<double>(slo_total.cache_hits) / cand;
     report.has_cache = true;

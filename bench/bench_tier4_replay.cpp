@@ -10,10 +10,11 @@
 /// compiled in unchanged, so the replay sees exactly the pairs a
 /// serving run sees. It prints the tier-4 pairs, how many ran out of
 /// budget, the expansions they took, the proven and unproven hits and
-/// the proven dismissals among them, the tier-4 wall time, and an
-/// FNV-1a digest of every pair's (within, ged, exact) verdict: equal
-/// digests mean equal answers, and the counts are the equal-work
-/// evidence a timed serving run cannot give.
+/// the proven dismissals among them, the pairs each cascade tier settled
+/// and the busy time spent in it (from CascadeProbe), and an FNV-1a
+/// digest of every pair's (within, ged, exact) verdict: equal digests
+/// mean equal answers, and the counts are the equal-work evidence a
+/// timed serving run cannot give.
 ///
 /// Gate: no tier-4 pair may run out of budget (`incomplete == 0`); the
 /// run exits nonzero otherwise.
@@ -59,7 +60,15 @@ int main() {
   long pairs = 0, hits = 0, unproven = 0, dismissed = 0;
   CascadeStats total;
   long expansions = 0;
-  double tier4_s = 0.0;
+  // The cascade's tiers by CascadeTier number (there is no tier 3), which
+  // also indexes `settled` and `busy_s`.
+  constexpr struct {
+    int tier;
+    const char* name;
+  } kTiers[] = {{0, "invariant"}, {1, "branch"}, {2, "heuristic"},
+                {4, "exact"}};
+  long settled[5] = {0, 0, 0, 0, 0};
+  double busy_s[5] = {0, 0, 0, 0, 0};
   uint64_t digest = kFnvOffset;
   const auto start = std::chrono::steady_clock::now();
   for (const gedbench::Op& read : reads) {
@@ -74,10 +83,12 @@ int main() {
       Mix(&digest, v.ged);
       Mix(&digest, v.exact_distance);
       total.Merge(st);
+      ++settled[static_cast<int>(v.tier)];
+      for (const auto& t : kTiers)
+        busy_s[t.tier] += probe.tier_us[t.tier] * 1e-6;
       if (st.exact_calls == 0) continue;
       ++pairs;
       expansions += probe.exact_expansions;
-      tier4_s += probe.tier_us[4] * 1e-6;
       if (v.within) {
         ++hits;
         if (!v.exact_distance) ++unproven;
@@ -99,8 +110,11 @@ int main() {
   std::printf("  hits (proven)       %ld\n", hits - unproven);
   std::printf("  hits (unproven)     %ld\n", unproven);
   std::printf("  proven dismissals   %ld\n", dismissed);
-  std::printf("  tier-4 time         %.3f s (whole replay %.3f s)\n",
-              tier4_s, wall_s);
+  std::printf("  per tier            settled pairs, busy time\n");
+  for (const auto& t : kTiers)
+    std::printf("    tier %d %-10s %8ld  %8.3f s\n", t.tier, t.name,
+                settled[t.tier], busy_s[t.tier]);
+  std::printf("  whole replay        %.3f s\n", wall_s);
   std::printf("  verdict digest      %016llx\n",
               static_cast<unsigned long long>(digest));
   const bool complete = total.exact_incomplete == 0;

@@ -63,9 +63,8 @@ int main() {
           : 100.0 * true_hits / static_cast<double>(res.hits.size()));
   std::printf(
       "cascade pruned %ld/%ld candidates before any solver ran "
-      "(%.0f%%), %ld OT calls, %ld exact calls, %.2f ms\n",
+      "(%.0f%%), %ld exact calls, %.2f ms\n",
       c.pruned_invariant + c.pruned_branch, c.candidates,
-      100.0 * c.PrunedBeforeSolvers(), c.ot_calls, c.exact_calls,
-      res.stats.wall_ms);
+      100.0 * c.PrunedBeforeSolvers(), c.exact_calls, res.stats.wall_ms);
   return 0;
 }

@@ -66,13 +66,13 @@ void PrintStats(const QueryStats& stats) {
   const CascadeStats& c = stats.cascade;
   std::printf(
       "    %.2f ms | epoch %llu | %ld candidates: %ld index-pruned, "
-      "%ld invariant-pruned, %ld branch-pruned, %ld heuristic, %ld ot, "
-      "%ld exact, %ld cached | %ld OT calls, %ld exact calls | "
+      "%ld invariant-pruned, %ld branch-pruned, %ld heuristic, "
+      "%ld exact, %ld cached | %ld exact calls | "
       "%.0f%% pruned before solvers\n",
       stats.wall_ms, static_cast<unsigned long long>(stats.epoch),
       c.candidates, c.pruned_index, c.pruned_invariant, c.pruned_branch,
-      c.decided_heuristic, c.decided_ot, c.decided_exact, c.cache_hits,
-      c.ot_calls, c.exact_calls, 100.0 * c.PrunedBeforeSolvers());
+      c.decided_heuristic, c.decided_exact, c.cache_hits, c.exact_calls,
+      100.0 * c.PrunedBeforeSolvers());
 }
 
 void PrintRange(const RangeResult& res, int tau) {
@@ -110,7 +110,6 @@ void PrintMetricsSnapshot() {
       {"identity-passed", "otged_cascade_passed_total{tier=\"invariant\"}"},
       {"branch-pruned", "otged_cascade_pruned_total{tier=\"branch\"}"},
       {"heuristic", "otged_cascade_decided_total{tier=\"heuristic\"}"},
-      {"ot", "otged_cascade_decided_total{tier=\"ot\"}"},
       {"exact", "otged_cascade_decided_total{tier=\"exact\"}"},
       {"cached", "otged_cascade_cache_hits_total"},
   };
@@ -178,10 +177,8 @@ int RunMetrics(const std::string& dataset, int count, int num_queries,
       {"otged_cascade_pruned_total{tier=\"branch\"}", total.pruned_branch},
       {"otged_cascade_decided_total{tier=\"heuristic\"}",
        total.decided_heuristic},
-      {"otged_cascade_decided_total{tier=\"ot\"}", total.decided_ot},
       {"otged_cascade_decided_total{tier=\"exact\"}", total.decided_exact},
       {"otged_cascade_cache_hits_total", total.cache_hits},
-      {"otged_cascade_ot_calls_total", total.ot_calls},
       {"otged_cascade_exact_calls_total", total.exact_calls},
       {"otged_cascade_exact_incomplete_total", total.exact_incomplete},
       // The index counters reconcile against the summed per-query

@@ -47,9 +47,9 @@ int main() {
   const CascadeStats& c = topk.stats.cascade;
   std::printf(
       "\ncascade: %ld candidates, %ld pruned by invariants, %ld by BRANCH, "
-      "%ld OT calls, %ld exact calls (%.2f ms)\n",
-      c.candidates, c.pruned_invariant, c.pruned_branch, c.ot_calls,
-      c.exact_calls, topk.stats.wall_ms);
+      "%ld exact calls (%.2f ms)\n",
+      c.candidates, c.pruned_invariant, c.pruned_branch, c.exact_calls,
+      topk.stats.wall_ms);
 
   // Ranking quality of the engine's exact distances against the
   // synthetic-edit ground truth over the whole database (top-k with

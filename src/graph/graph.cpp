@@ -6,9 +6,25 @@
 
 namespace otged {
 
+Graph::Graph(int num_nodes, Label fill_label)
+    : d_(std::make_shared<Data>()) {
+  d_->labels.assign(static_cast<size_t>(num_nodes), fill_label);
+  d_->adj.resize(static_cast<size_t>(num_nodes));
+}
+
+Graph::Data& Graph::Mut() {
+  if (!d_) {
+    d_ = std::make_shared<Data>();
+  } else if (d_.use_count() > 1) {
+    d_ = std::make_shared<Data>(*d_);
+  }
+  return *d_;
+}
+
 int Graph::AddNode(Label l) {
-  labels_.push_back(l);
-  adj_.emplace_back();
+  Data& d = Mut();
+  d.labels.push_back(l);
+  d.adj.emplace_back();
   return NumNodes() - 1;
 }
 
@@ -16,38 +32,41 @@ void Graph::AddEdge(int u, int v, Label edge_label) {
   OTGED_CHECK(u >= 0 && u < NumNodes() && v >= 0 && v < NumNodes());
   OTGED_CHECK_MSG(u != v, "self loops not supported");
   OTGED_CHECK_MSG(!HasEdge(u, v), "duplicate edge");
-  adj_[u].insert(std::lower_bound(adj_[u].begin(), adj_[u].end(), v), v);
-  adj_[v].insert(std::lower_bound(adj_[v].begin(), adj_[v].end(), u), u);
-  if (edge_label != 0) edge_labels_[EdgeKey(u, v)] = edge_label;
-  ++num_edges_;
+  Data& d = Mut();
+  d.adj[u].insert(std::lower_bound(d.adj[u].begin(), d.adj[u].end(), v), v);
+  d.adj[v].insert(std::lower_bound(d.adj[v].begin(), d.adj[v].end(), u), u);
+  if (edge_label != 0) d.edge_labels[EdgeKey(u, v)] = edge_label;
+  ++d.num_edges;
 }
 
 void Graph::RemoveEdge(int u, int v) {
   OTGED_CHECK(HasEdge(u, v));
-  adj_[u].erase(std::lower_bound(adj_[u].begin(), adj_[u].end(), v));
-  adj_[v].erase(std::lower_bound(adj_[v].begin(), adj_[v].end(), u));
-  edge_labels_.erase(EdgeKey(u, v));
-  --num_edges_;
+  Data& d = Mut();
+  d.adj[u].erase(std::lower_bound(d.adj[u].begin(), d.adj[u].end(), v));
+  d.adj[v].erase(std::lower_bound(d.adj[v].begin(), d.adj[v].end(), u));
+  d.edge_labels.erase(EdgeKey(u, v));
+  --d.num_edges;
 }
 
 Label Graph::edge_label(int u, int v) const {
   OTGED_DCHECK(HasEdge(u, v));
-  auto it = edge_labels_.find(EdgeKey(u, v));
-  return it == edge_labels_.end() ? 0 : it->second;
+  auto it = d_->edge_labels.find(EdgeKey(u, v));
+  return it == d_->edge_labels.end() ? 0 : it->second;
 }
 
 void Graph::set_edge_label(int u, int v, Label l) {
   OTGED_CHECK(HasEdge(u, v));
   if (l == 0) {
-    edge_labels_.erase(EdgeKey(u, v));
+    Mut().edge_labels.erase(EdgeKey(u, v));
   } else {
-    edge_labels_[EdgeKey(u, v)] = l;
+    Mut().edge_labels[EdgeKey(u, v)] = l;
   }
 }
 
 std::vector<Label> Graph::EdgeLabelAlphabet() const {
   std::vector<Label> out;
-  for (const auto& [key, l] : edge_labels_) out.push_back(l);
+  if (!d_) return out;
+  for (const auto& [key, l] : d_->edge_labels) out.push_back(l);
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
@@ -55,7 +74,7 @@ std::vector<Label> Graph::EdgeLabelAlphabet() const {
 
 bool Graph::HasEdge(int u, int v) const {
   if (u < 0 || v < 0 || u >= NumNodes() || v >= NumNodes()) return false;
-  const auto& a = adj_[u];
+  const auto& a = d_->adj[u];
   return std::binary_search(a.begin(), a.end(), v);
 }
 
@@ -63,7 +82,7 @@ Matrix Graph::AdjacencyMatrix() const {
   const int n = NumNodes();
   Matrix a(n, n, 0.0);
   for (int u = 0; u < n; ++u)
-    for (int v : adj_[u]) a(u, v) = 1.0;
+    for (int v : d_->adj[u]) a(u, v) = 1.0;
   return a;
 }
 
@@ -75,8 +94,8 @@ Matrix Graph::OneHotLabels(int num_labels) const {
     if (num_labels == 1) {
       x(v, 0) = 1.0;  // unlabeled: constant feature
     } else {
-      OTGED_CHECK(labels_[v] >= 0 && labels_[v] < num_labels);
-      x(v, labels_[v]) = 1.0;
+      OTGED_CHECK(d_->labels[v] >= 0 && d_->labels[v] < num_labels);
+      x(v, d_->labels[v]) = 1.0;
     }
   }
   return x;
@@ -92,7 +111,7 @@ bool Graph::IsConnected() const {
   while (!stack.empty()) {
     int u = stack.back();
     stack.pop_back();
-    for (int v : adj_[u]) {
+    for (int v : d_->adj[u]) {
       if (!seen[v]) {
         seen[v] = 1;
         ++count;
@@ -106,30 +125,34 @@ bool Graph::IsConnected() const {
 bool Graph::CheckInvariants() const {
   int edge_endpoints = 0;
   for (int u = 0; u < NumNodes(); ++u) {
-    if (!std::is_sorted(adj_[u].begin(), adj_[u].end())) return false;
-    if (std::adjacent_find(adj_[u].begin(), adj_[u].end()) != adj_[u].end())
-      return false;
-    for (int v : adj_[u]) {
+    const std::vector<int>& a = d_->adj[u];
+    if (!std::is_sorted(a.begin(), a.end())) return false;
+    if (std::adjacent_find(a.begin(), a.end()) != a.end()) return false;
+    for (int v : a) {
       if (v < 0 || v >= NumNodes() || v == u) return false;
       if (!HasEdge(v, u)) return false;
     }
-    edge_endpoints += static_cast<int>(adj_[u].size());
+    edge_endpoints += static_cast<int>(a.size());
   }
-  return edge_endpoints == 2 * num_edges_;
+  return edge_endpoints == 2 * NumEdges();
 }
 
 bool Graph::operator==(const Graph& o) const {
-  return labels_ == o.labels_ && adj_ == o.adj_ &&
-         edge_labels_ == o.edge_labels_;
+  if (d_ == o.d_) return true;
+  // A graph without nodes has no edges either, whatever holds it.
+  if (NumNodes() == 0 || o.NumNodes() == 0)
+    return NumNodes() == o.NumNodes();
+  return d_->labels == o.d_->labels && d_->adj == o.d_->adj &&
+         d_->edge_labels == o.d_->edge_labels;
 }
 
 std::string Graph::ToString() const {
   std::ostringstream os;
   os << NumNodes() << " " << NumEdges() << " |";
-  for (Label l : labels_) os << " " << l;
+  for (int v = 0; v < NumNodes(); ++v) os << " " << label(v);
   os << " |";
   for (int u = 0; u < NumNodes(); ++u)
-    for (int v : adj_[u])
+    for (int v : Neighbors(u))
       if (u < v) os << " (" << u << "," << v << ")";
   return os.str();
 }

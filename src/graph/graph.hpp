@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,22 +22,28 @@ using Label = int;
 /// A node-labeled undirected simple graph. Nodes are dense ids
 /// [0, NumNodes()). Edges are stored both as adjacency lists (sorted) and
 /// are exportable as a dense adjacency matrix.
+///
+/// Copies share their contents until one of them is mutated
+/// (copy-on-write), so a copy costs one reference count. Like any value
+/// type, one Graph object must not be mutated while another thread reads
+/// or copies that same object; distinct copies are independent.
 class Graph {
  public:
   Graph() = default;
-  explicit Graph(int num_nodes, Label fill_label = 0)
-      : labels_(num_nodes, fill_label), adj_(num_nodes) {}
+  explicit Graph(int num_nodes, Label fill_label = 0);
 
-  int NumNodes() const { return static_cast<int>(labels_.size()); }
-  int NumEdges() const { return num_edges_; }
+  int NumNodes() const {
+    return d_ ? static_cast<int>(d_->labels.size()) : 0;
+  }
+  int NumEdges() const { return d_ ? d_->num_edges : 0; }
 
   Label label(int v) const {
     OTGED_DCHECK(v >= 0 && v < NumNodes());
-    return labels_[v];
+    return d_->labels[v];
   }
   void set_label(int v, Label l) {
     OTGED_DCHECK(v >= 0 && v < NumNodes());
-    labels_[v] = l;
+    Mut().labels[v] = l;
   }
 
   /// Adds an isolated node with the given label; returns its id.
@@ -51,12 +58,12 @@ class Graph {
   Label edge_label(int u, int v) const;
   void set_edge_label(int u, int v, Label l);
   /// True if any edge carries a non-zero label.
-  bool HasEdgeLabels() const { return !edge_labels_.empty(); }
+  bool HasEdgeLabels() const { return d_ && !d_->edge_labels.empty(); }
   /// Distinct edge labels in use (0 excluded); at most this many + 1
   /// classes matter for edge-label-aware GED.
   std::vector<Label> EdgeLabelAlphabet() const;
-  int Degree(int v) const { return static_cast<int>(adj_[v].size()); }
-  const std::vector<int>& Neighbors(int v) const { return adj_[v]; }
+  int Degree(int v) const { return static_cast<int>(d_->adj[v].size()); }
+  const std::vector<int>& Neighbors(int v) const { return d_->adj[v]; }
 
   /// Dense 0/1 adjacency matrix (n x n, symmetric, zero diagonal).
   Matrix AdjacencyMatrix() const;
@@ -81,12 +88,20 @@ class Graph {
     return (static_cast<uint64_t>(u) << 32) | static_cast<uint32_t>(v);
   }
 
-  std::vector<Label> labels_;
-  std::vector<std::vector<int>> adj_;
-  /// Sparse edge-label store: only non-zero labels are recorded, so
-  /// node-labeled-only workloads (the paper's main setting) pay nothing.
-  std::map<uint64_t, Label> edge_labels_;
-  int num_edges_ = 0;
+  struct Data {
+    std::vector<Label> labels;
+    std::vector<std::vector<int>> adj;
+    /// Sparse edge-label store: only non-zero labels are recorded, so
+    /// node-labeled-only workloads (the paper's main setting) pay nothing.
+    std::map<uint64_t, Label> edge_labels;
+    int num_edges = 0;
+  };
+
+  /// The contents for writing: allocated if absent, cloned first if
+  /// another Graph shares them.
+  Data& Mut();
+
+  std::shared_ptr<Data> d_;  ///< null for the empty graph
 };
 
 /// Maximum possible number of edit operations between g1 and g2

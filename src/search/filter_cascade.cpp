@@ -4,11 +4,9 @@
 #include <cmath>
 #include <utility>
 
-#include "assignment/kbest.hpp"
 #include "exact/branch_and_bound.hpp"
 #include "heuristics/bipartite.hpp"
 #include "heuristics/lower_bounds.hpp"
-#include "models/gedgw.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace otged {
@@ -20,9 +18,7 @@ void CascadeStats::Merge(const CascadeStats& o) {
   passed_invariant += o.passed_invariant;
   pruned_branch += o.pruned_branch;
   decided_heuristic += o.decided_heuristic;
-  decided_ot += o.decided_ot;
   decided_exact += o.decided_exact;
-  ot_calls += o.ot_calls;
   exact_calls += o.exact_calls;
   exact_incomplete += o.exact_incomplete;
   cache_hits += o.cache_hits;
@@ -47,20 +43,19 @@ struct CascadeMetrics {
   telemetry::Counter* candidates;
   telemetry::Counter* pruned[2];     ///< tier 0 (invariant), tier 1 (branch)
   telemetry::Counter* passed_invariant;
-  telemetry::Counter* decided[3];    ///< heuristic, ot, exact
-  telemetry::Counter* escalated[4];  ///< entered branch/heuristic/ot/exact
-  telemetry::Counter* ot_calls;
+  telemetry::Counter* decided[5];    ///< by deciding tier: [2] and [4]
+  telemetry::Counter* escalated[5];  ///< by tier entered: [1], [2], [4]
   telemetry::Counter* exact_calls;
   telemetry::Counter* exact_incomplete;
-  telemetry::Histogram* tier_latency[5];
+  telemetry::Histogram* tier_latency[5];  ///< by CascadeTier, [3] null
 };
 
 const CascadeMetrics& Metrics() {
   static const CascadeMetrics* m = [] {
-    auto* mm = new CascadeMetrics;
+    auto* mm = new CascadeMetrics{};
     auto& reg = telemetry::Registry();
-    static const char* kTier[5] = {"invariant", "branch", "heuristic", "ot",
-                                   "exact"};
+    static const char* kTier[5] = {"invariant", "branch", "heuristic",
+                                   nullptr, "exact"};
     mm->candidates =
         &reg.GetCounter("otged_cascade_candidates_total",
                         "candidate pairs fed into the filter cascade");
@@ -72,24 +67,22 @@ const CascadeMetrics& Metrics() {
     mm->passed_invariant = &reg.GetCounter(
         "otged_cascade_passed_total{tier=\"invariant\"}",
         "pairs settled by the tier-0 identity fast path (GED == 0)");
-    for (int t : {2, 3, 4})
-      mm->decided[t - 2] = &reg.GetCounter(
+    for (int t : {2, 4})
+      mm->decided[t] = &reg.GetCounter(
           std::string("otged_cascade_decided_total{tier=\"") + kTier[t] +
               "\"}",
           "pairs whose membership or distance this tier settled");
-    for (int t : {1, 2, 3, 4})
-      mm->escalated[t - 1] = &reg.GetCounter(
+    for (int t : {1, 2, 4})
+      mm->escalated[t] = &reg.GetCounter(
           std::string("otged_cascade_escalated_total{to=\"") + kTier[t] +
               "\"}",
           "pairs the previous tiers could not settle");
-    mm->ot_calls = &reg.GetCounter("otged_cascade_ot_calls_total",
-                                   "GEDGW solver invocations");
     mm->exact_calls = &reg.GetCounter("otged_cascade_exact_calls_total",
                                       "branch-and-bound invocations");
     mm->exact_incomplete =
         &reg.GetCounter("otged_cascade_exact_incomplete_total",
                         "exact runs that exhausted their visit budget");
-    for (int t = 0; t < 5; ++t)
+    for (int t : {0, 1, 2, 4})
       mm->tier_latency[t] = &reg.GetHistogram(
           std::string("otged_cascade_tier_latency_us{tier=\"") + kTier[t] +
               "\"}",
@@ -180,7 +173,7 @@ CascadeVerdict FilterCascade::BoundedDistance(const Graph& query,
   // --- tier 1: BRANCH bipartite lower bound ----------------------------
   if (opt_.use_branch_bound) {
 #if OTGED_TELEMETRY_COMPILED
-    if (metered) Metrics().escalated[0]->Inc();
+    if (metered) Metrics().escalated[1]->Inc();
 #endif
     lb = std::max(lb, static_cast<int>(
                           std::ceil(BranchLowerBound(*g1, *g2) - 1e-9)));
@@ -199,15 +192,15 @@ CascadeVerdict FilterCascade::BoundedDistance(const Graph& query,
 
   // --- tier 2: Classic heuristic upper bound ---------------------------
 #if OTGED_TELEMETRY_COMPILED
-  if (metered) Metrics().escalated[1]->Inc();
+  if (metered) Metrics().escalated[2]->Inc();
 #endif
-  int ub = ClassicGed(*g1, *g2).ged;
+  const int ub = ClassicGed(*g1, *g2).ged;
   best_ub = ub;
   if (lb == ub) {
     // Certificate: admissible LB meets feasible UB, distance is exact.
     stats->decided_heuristic++;
 #if OTGED_TELEMETRY_COMPILED
-    if (metered) Metrics().decided[0]->Inc();
+    if (metered) Metrics().decided[2]->Inc();
 #endif
     v.within = ub <= tau;
     v.ged = ub;
@@ -220,7 +213,7 @@ CascadeVerdict FilterCascade::BoundedDistance(const Graph& query,
     // The feasible edit path already witnesses membership.
     stats->decided_heuristic++;
 #if OTGED_TELEMETRY_COMPILED
-    if (metered) Metrics().decided[0]->Inc();
+    if (metered) Metrics().decided[2]->Inc();
 #endif
     v.within = true;
     v.ged = ub;
@@ -230,56 +223,14 @@ CascadeVerdict FilterCascade::BoundedDistance(const Graph& query,
   }
   mark(CascadeTier::kHeuristic);
 
-  // --- tier 3: OT verify (GEDGW coupling -> k-best edit path) ----------
-  if (opt_.use_ot_verify) {
-    stats->ot_calls++;
-#if OTGED_TELEMETRY_COMPILED
-    if (metered) {
-      Metrics().escalated[2]->Inc();
-      Metrics().ot_calls->Inc();
-    }
-#endif
-    GedgwConfig gw_cfg;
-    gw_cfg.cg_iters = opt_.gw_iters;
-    GedgwSolver gw(gw_cfg);
-    Prediction pred = gw.Predict(*g1, *g2);
-    GepResult gep = KBestGepSearch(*g1, *g2, pred.coupling, opt_.kbest_k);
-    ub = std::min(ub, gep.ged);
-    best_ub = ub;
-    if (lb == ub) {
-      stats->decided_ot++;
-#if OTGED_TELEMETRY_COMPILED
-      if (metered) Metrics().decided[1]->Inc();
-#endif
-      v.within = ub <= tau;
-      v.ged = ub;
-      v.exact_distance = true;
-      v.tier = CascadeTier::kOt;
-      mark(CascadeTier::kOt);
-      return finish(v);
-    }
-    if (!need_distance && ub <= tau) {
-      stats->decided_ot++;
-#if OTGED_TELEMETRY_COMPILED
-      if (metered) Metrics().decided[1]->Inc();
-#endif
-      v.within = true;
-      v.ged = ub;
-      v.tier = CascadeTier::kOt;
-      mark(CascadeTier::kOt);
-      return finish(v);
-    }
-    mark(CascadeTier::kOt);
-  }
-
   // --- tier 4: exact verify (branch and bound) ------------------------
-  // Seeded with the best UB. A range read only asks whether GED <= tau,
+  // Seeded with the tier-2 UB. A range read only asks whether GED <= tau,
   // so it also thresholds the search at tau (here tau < ub); top-k needs
   // the distance itself and searches up to the UB.
   stats->exact_calls++;
 #if OTGED_TELEMETRY_COMPILED
   if (metered) {
-    Metrics().escalated[3]->Inc();
+    Metrics().escalated[4]->Inc();
     Metrics().exact_calls->Inc();
   }
 #endif
@@ -288,7 +239,7 @@ CascadeVerdict FilterCascade::BoundedDistance(const Graph& query,
   exact_expansions = exact.expansions;
   stats->decided_exact++;
 #if OTGED_TELEMETRY_COMPILED
-  if (metered) Metrics().decided[2]->Inc();
+  if (metered) Metrics().decided[4]->Inc();
 #endif
   best_ub = exact.ged;
   v.tier = CascadeTier::kExact;

@@ -10,26 +10,22 @@
 ///   tier 1  BRANCH bound        O(n^3)     bipartite assignment LB
 ///   tier 2  heuristic verify    O(n^3)     Classic (Hungarian+VJ) upper
 ///                                          bound; LB == UB certifies
-///   tier 3  OT verify           O(I n^3)   GEDGW conditional gradient +
-///                                          k-best edit-path upper bound
 ///   tier 4  exact verify        exp(n)     branch-and-bound with an
 ///                                          anchor-aware bound, seeded
-///                                          with the best upper bound;
+///                                          with the tier-2 upper bound;
 ///                                          range reads threshold it at
 ///                                          tau (an exhausted tree proves
 ///                                          GED > tau)
+///   (no tier 3: an OT upper bound cost more than the exact search it fed)
 ///
 /// Lower bounds are admissible and upper bounds are witnessed by feasible
 /// edit paths, so a range decision (`GED <= tau`?) made at any tier equals
-/// the brute-force answer: no false dismissals, no false hits. The one
-/// exception is a pair the exact tier cannot prove — its budget ran out,
-/// or the pair has more nodes than the exact solvers accept
-/// (kMaxExactNodes) — which is kept conservatively (still no false
-/// dismissals) and flagged as unproven.
+/// the brute-force answer: no false dismissals, no false hits. A hit's
+/// distance is an unproven upper bound when tier 2 witnessed it (`ub <=
+/// tau`, `lb < ub`), when the exact budget ran out, or when the pair is
+/// over kMaxExactNodes; the last two keep the pair conservatively.
 #ifndef OTGED_SEARCH_FILTER_CASCADE_HPP_
 #define OTGED_SEARCH_FILTER_CASCADE_HPP_
-
-#include <optional>
 
 #include "exact/astar.hpp"
 #include "search/graph_store.hpp"
@@ -38,23 +34,19 @@ namespace otged {
 
 struct CascadeOptions {
   bool use_branch_bound = true;  ///< enable the tier-1 bipartite LB
-  bool use_ot_verify = true;     ///< enable the tier-3 GEDGW refinement
-  int kbest_k = 8;               ///< path-search width for the OT tier
-  int gw_iters = 20;             ///< conditional-gradient iterations
   /// Tier-4 branch-and-bound node-expansion budget. Each hard pair runs
   /// the sequential solver on the calling thread; the engine pool
   /// supplies the parallelism across pairs.
   long exact_budget = 20'000'000;
 };
 
-/// Where a candidate's fate was decided (statistics only). kCache is not
-/// a cascade tier proper: it marks pairs the QueryEngine answered from
-/// its bound cache without entering the cascade.
+/// Where a candidate's fate was decided (statistics only; 3 is unused).
+/// kCache is not a cascade tier proper: it marks pairs the QueryEngine
+/// answered from its bound cache without entering the cascade.
 enum class CascadeTier : int {
   kInvariant = 0,
   kBranch = 1,
   kHeuristic = 2,
-  kOt = 3,
   kExact = 4,
   kCache = 5,
 };
@@ -69,23 +61,24 @@ struct CascadeStats {
   long passed_invariant = 0;  ///< settled by the tier-0 identity fast path
   long pruned_branch = 0;     ///< dismissed by the tier-1 LB
   long decided_heuristic = 0; ///< decided by the tier-2 UB (incl. LB==UB)
-  long decided_ot = 0;        ///< decided by the tier-3 OT bound
   long decided_exact = 0;     ///< needed the exact solver
-  long ot_calls = 0;          ///< GEDGW invocations
   long exact_calls = 0;       ///< branch-and-bound invocations
   long exact_incomplete = 0;  ///< exact runs that exhausted their budget
   long cache_hits = 0;        ///< pairs answered from the bound cache
+  /// Always 0 (no tier 3); kept only for gedbench/src/main.cpp's reads,
+  /// and ignored by Merge and SettledTotal.
+  long decided_ot = 0;
+  long ot_calls = 0;
 
   void Merge(const CascadeStats& o);
-  /// Fraction of candidates dismissed before any OT or exact solver ran.
+  /// Fraction of candidates dismissed before any UB or exact solver ran.
   double PrunedBeforeSolvers() const;
   /// Every candidate is settled by exactly one tier (or the cache), so
   /// this always equals `candidates` — telemetry reconciliation relies
   /// on it.
   long SettledTotal() const {
     return pruned_index + pruned_invariant + passed_invariant +
-           pruned_branch + decided_heuristic + decided_ot + decided_exact +
-           cache_hits;
+           pruned_branch + decided_heuristic + decided_exact + cache_hits;
   }
 };
 
@@ -98,7 +91,7 @@ struct CascadeProbe {
   int lb = -1;              ///< best admissible lower bound established
   int ub = -1;              ///< best feasible upper bound (-1: none)
   long exact_expansions = 0;  ///< branch-and-bound nodes visited
-  double tier_us[5] = {0, 0, 0, 0, 0};  ///< wall us per tier entered
+  double tier_us[5] = {0, 0, 0, 0, 0};  ///< wall us per CascadeTier
 };
 
 /// Outcome of a bounded-distance evaluation.

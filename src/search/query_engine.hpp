@@ -106,10 +106,9 @@ struct QueryStats {
 /// One search hit, shared by range and top-k results. `id` is the stable
 /// GraphStore id. `ged` is the best distance the engine needed for its
 /// decision: the exact distance iff `exact_distance`, otherwise a
-/// feasible upper bound (an unproven distance arises only when the exact
-/// tier exhausted its budget or the pair is too large for it — the
-/// candidate is then kept conservatively, since the cascade never
-/// dismisses without an admissible-bound proof).
+/// feasible upper bound: a range hit tier 2's edit path witnessed, or a
+/// pair whose exact search ran out of budget or that is too large for it
+/// (kept conservatively; the cascade never dismisses without a proof).
 ///
 /// `exact_distance` defaults to false for every hit kind: a distance is
 /// only exact when a tier proved it, and every construction site must
@@ -129,8 +128,8 @@ struct RangeResult {
   QueryStats stats;
 };
 
-/// Top-k hits are exact distances ascending (ged, id), except pairs whose
-/// exact tier ran out of budget (`exact_distance == false`).
+/// Top-k hits are exact distances ascending (ged, id), except pairs the
+/// exact tier could not finish (`exact_distance == false`).
 struct TopKResult {
   std::vector<TopKHit> hits;  ///< ascending by (ged, id)
   QueryStats stats;

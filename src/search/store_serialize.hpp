@@ -1,6 +1,6 @@
 /// \file store_serialize.hpp
 /// \brief Versioned binary persistence of a GraphStore, following the
-/// nn/serialize conventions: magic + fixed-width fields, multi-byte
+/// model-weight file conventions: magic + fixed-width fields, multi-byte
 /// scalars in host byte order (the graph section from graph_io is
 /// little-endian), so files are not portable to an opposite-endian host
 /// — there they fail cleanly on the magic/checksum validation.

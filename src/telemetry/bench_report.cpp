@@ -46,9 +46,8 @@ bool WriteBenchJson(const BenchReport& report, const std::string& path,
     return false;
   }
   const std::string rev = GitRevision();
-  static const char* kTierNames[7] = {"invariant", "branch", "heuristic",
-                                      "ot",        "exact",  "cache",
-                                      "index"};
+  static const char* kTierNames[6] = {"invariant", "branch", "heuristic",
+                                      "exact",     "cache",  "index"};
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"%s\",\n"
@@ -65,7 +64,7 @@ bool WriteBenchJson(const BenchReport& report, const std::string& path,
                report.corpus_size, report.num_queries, report.qps,
                report.p50_ms, report.p95_ms, report.p99_ms);
   std::fprintf(f, "  \"tier_fractions\": {");
-  for (int t = 0; t < 7; ++t)
+  for (int t = 0; t < 6; ++t)
     std::fprintf(f, "%s\"%s\": %.4f", t == 0 ? "" : ", ", kTierNames[t],
                  report.tier_fractions[t]);
   std::fprintf(f,

@@ -19,7 +19,7 @@
 ///     "num_queries":  integer  queries timed
 ///     "qps":          number   queries per second
 ///     "latency_ms":   {"p50": number, "p95": number, "p99": number}
-///     "tier_fractions": {"invariant","branch","heuristic","ot","exact",
+///     "tier_fractions": {"invariant","branch","heuristic","exact",
 ///                        "cache","index": number}  fraction of candidate
 ///                                           pairs settled per tier
 ///                                           (sums to 1; "index" = pairs
@@ -61,11 +61,10 @@ struct BenchReport {
   double p50_ms = 0.0;
   double p95_ms = 0.0;
   double p99_ms = 0.0;
-  /// Slots 0..5 indexed by CascadeTier (invariant, branch, heuristic,
-  /// ot, exact, cache); slot 6 is "index" — pairs the GraphIndex
-  /// dismissed before the cascade ran. Fractions of candidate pairs
-  /// settled per tier; they partition 1.
-  double tier_fractions[7] = {0, 0, 0, 0, 0, 0, 0};
+  /// Fractions of candidate pairs settled per tier, in the order
+  /// invariant, branch, heuristic, exact, cache, index ("index" = pairs
+  /// the GraphIndex dismissed before the cascade ran); they partition 1.
+  double tier_fractions[6] = {0, 0, 0, 0, 0, 0};
   double cache_hit_rate = 0.0;
 
   /// Optional warm-cache methodology section (`"cache"` in the JSON);

@@ -318,9 +318,7 @@ TEST(ExactTierTest, ThresholdDismissalIsSettledAndCounted) {
   // Range reads threshold tier 4 at tau. A pair it proves above tau is
   // dismissed at kExact with no distance, counted as decided (not as
   // incomplete), and the global counters agree with the returned stats.
-  CascadeOptions copt;
-  copt.use_ot_verify = false;  // force bound gaps into tier 4
-  const FilterCascade cascade(copt);
+  const FilterCascade cascade;
 #if OTGED_TELEMETRY_COMPILED
   telemetry::SetEnabled(true);
   const telemetry::MetricsSnapshot before = telemetry::Registry().Snapshot();
@@ -368,6 +366,51 @@ TEST(ExactTierTest, ThresholdDismissalIsSettledAndCounted) {
   EXPECT_EQ(delta("otged_cascade_exact_calls_total"), total.exact_calls);
   EXPECT_EQ(delta("otged_cascade_exact_incomplete_total"), 0);
 #endif
+}
+
+TEST(ExactTierTest, RangeHitsAreWitnessedOrExact) {
+  // A range hit carries an unproven distance only when tier 2's feasible
+  // path witnessed it (or the exact tier could not finish). Every other
+  // hit past tier 0 comes from the exact tier with A*'s distance.
+  const FilterCascade cascade;
+  Rng rng(17);
+  int checked = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    SyntheticEditOptions opt;
+    opt.num_edits = rng.UniformInt(2, 6);
+    Graph base;
+    if (trial % 2 == 0) {
+      base = PowerLawGraph(rng.UniformInt(6, 10), 2, &rng);
+      opt.allow_relabel = false;
+    } else {
+      base = AidsLikeGraph(&rng, 6, 10);
+      opt.num_labels = 29;
+    }
+    GedPair p = SyntheticEditPair(base, opt, &rng);
+    if (p.g1.NumNodes() > p.g2.NumNodes()) std::swap(p.g1, p.g2);
+    const auto astar = AstarGed(p.g1, p.g2);
+    ASSERT_TRUE(astar.has_value());
+    const GraphInvariants i1 = ComputeInvariants(p.g1);
+    const GraphInvariants i2 = ComputeInvariants(p.g2);
+    for (int tau = std::max(0, astar->ged - 1); tau <= astar->ged + 1;
+         ++tau) {
+      CascadeStats st;
+      const CascadeVerdict v = cascade.BoundedDistance(
+          p.g1, i1, p.g2, i2, tau, /*need_distance=*/false, &st);
+      EXPECT_EQ(v.within, astar->ged <= tau)
+          << "trial " << trial << " tau " << tau;
+      EXPECT_EQ(st.exact_incomplete, 0);
+      if (!v.within || v.tier == CascadeTier::kInvariant ||
+          v.tier == CascadeTier::kHeuristic)
+        continue;
+      ++checked;
+      EXPECT_EQ(v.tier, CascadeTier::kExact)
+          << "trial " << trial << " tau " << tau;
+      EXPECT_TRUE(v.exact_distance) << "trial " << trial << " tau " << tau;
+      EXPECT_EQ(v.ged, astar->ged) << "trial " << trial << " tau " << tau;
+    }
+  }
+  EXPECT_GT(checked, 40);
 }
 
 TEST(ExactPropertyTest, GedIsSymmetricUnderPairSwap) {

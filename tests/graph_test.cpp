@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 namespace otged {
 namespace {
 
@@ -85,6 +88,43 @@ TEST(GraphTest, Equality) {
   Graph g = Triangle();
   g.set_label(0, 1);
   EXPECT_FALSE(g == Triangle());
+}
+
+TEST(GraphTest, CopiesAreIndependent) {
+  // Copies share storage until one is mutated; every mutator must leave
+  // the other copy untouched, whichever side it runs on.
+  const Graph original = Triangle();
+  const std::string before = original.ToString();
+  Graph copy = original;
+  EXPECT_TRUE(copy == original);
+  copy.set_label(0, 4);
+  copy.AddNode(2);
+  copy.AddEdge(1, 3, 5);
+  copy.RemoveEdge(0, 2);
+  copy.set_edge_label(0, 1, 6);
+  EXPECT_EQ(original.ToString(), before);
+  EXPECT_FALSE(original.HasEdgeLabels());
+  EXPECT_TRUE(original.CheckInvariants());
+  EXPECT_EQ(copy.NumNodes(), 4);
+  EXPECT_EQ(copy.NumEdges(), 3);
+  EXPECT_EQ(copy.edge_label(1, 3), 5);
+  EXPECT_TRUE(copy.CheckInvariants());
+
+  Graph source = Triangle();
+  const Graph kept = source;
+  source.RemoveEdge(0, 1);
+  source.set_label(2, 8);
+  EXPECT_TRUE(kept == Triangle());
+  EXPECT_EQ(kept.label(2), 0);
+
+  Graph moved = Triangle();
+  const Graph target = std::move(moved);
+  moved = Graph();
+  EXPECT_EQ(moved.NumNodes(), 0);
+  EXPECT_EQ(moved.NumEdges(), 0);
+  EXPECT_TRUE(moved == Graph(0));
+  EXPECT_EQ(moved.AddNode(1), 0);
+  EXPECT_TRUE(target == Triangle());
 }
 
 TEST(GraphTest, MaxEditOps) {

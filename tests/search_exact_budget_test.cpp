@@ -29,12 +29,9 @@ GedPair HardPair(Rng* rng) {
 
 TEST(ExactBudgetTest, StarvedVerdictsAreConservativeNeverExact) {
   CascadeOptions starved_opt;
-  starved_opt.use_ot_verify = false;  // force bound gaps into tier 4
   starved_opt.exact_budget = 1;
   FilterCascade starved(starved_opt);
-  CascadeOptions full_opt;
-  full_opt.use_ot_verify = false;
-  FilterCascade full(full_opt);
+  FilterCascade full;
 
   Rng rng(31);
   int starved_runs = 0;
@@ -96,7 +93,6 @@ TEST(ExactBudgetTest, StarvedEngineKeepsEveryTrueHitAndReconciles) {
 
   EngineOptions truth_opt;
   truth_opt.num_threads = 2;
-  truth_opt.cascade.use_ot_verify = false;
   QueryEngine truth_engine(&store, truth_opt);
   EngineOptions starved_opt = truth_opt;
   starved_opt.cascade.exact_budget = 1;
@@ -177,7 +173,6 @@ TEST(ExactBudgetTest, OversizedPairIsKeptUnprovenNotSearched) {
   EngineOptions opt;
   opt.num_threads = 2;
   opt.use_bound_cache = false;
-  opt.cascade.use_ot_verify = false;  // force bound gaps into tier 4
   QueryEngine engine(&store, opt);
 
 #if OTGED_TELEMETRY_COMPILED

@@ -84,8 +84,9 @@ TEST(SearchPropertyTest, BoundsSandwichExactGedOnRandomPairs) {
     EXPECT_GE(classic_ub, exact) << "Classic UB infeasible at trial "
                                  << trial;
 
-    // Tier-3 OT upper bound (GEDGW coupling -> k-best edit path); the
-    // OT solve dominates the harness runtime, so sample every 4th pair.
+    // The paper's OT upper bound (GEDGW coupling -> k-best edit path);
+    // the OT solve dominates the harness runtime, so sample every 4th
+    // pair.
     if (trial % 4 == 0) {
       GedgwConfig gw_cfg;
       gw_cfg.cg_iters = 20;

@@ -189,11 +189,8 @@ TEST(FilterCascadeTest, StatsAreConsistent) {
   RangeResult res = engine.Range(query, 2);
   const CascadeStats& s = res.stats.cascade;
   EXPECT_EQ(s.candidates, store.Size());
-  // Every candidate is accounted for by exactly one outcome bucket,
-  // except tier-0/1 identity hits which fall through to no bucket.
-  EXPECT_LE(s.pruned_invariant + s.pruned_branch + s.decided_heuristic +
-                s.decided_ot + s.decided_exact,
-            s.candidates);
+  // Every candidate is accounted for by exactly one outcome bucket.
+  EXPECT_EQ(s.SettledTotal(), s.candidates);
   EXPECT_GE(s.pruned_invariant + s.pruned_branch, 0);
 }
 

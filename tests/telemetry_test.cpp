@@ -255,10 +255,8 @@ constexpr NamedField kCascadeFields[] = {
      &CascadeStats::pruned_branch},
     {"otged_cascade_decided_total{tier=\"heuristic\"}",
      &CascadeStats::decided_heuristic},
-    {"otged_cascade_decided_total{tier=\"ot\"}", &CascadeStats::decided_ot},
     {"otged_cascade_decided_total{tier=\"exact\"}",
      &CascadeStats::decided_exact},
-    {"otged_cascade_ot_calls_total", &CascadeStats::ot_calls},
     {"otged_cascade_exact_calls_total", &CascadeStats::exact_calls},
     {"otged_cascade_exact_incomplete_total",
      &CascadeStats::exact_incomplete},
@@ -349,7 +347,7 @@ TEST(TelemetryEndToEndTest, TraceEventsMatchCandidateDecisions) {
   EXPECT_EQ(by_tier[0], total.pruned_invariant + total.passed_invariant);
   EXPECT_EQ(by_tier[1], total.pruned_branch);
   EXPECT_EQ(by_tier[2], total.decided_heuristic);
-  EXPECT_EQ(by_tier[3], total.decided_ot);
+  EXPECT_EQ(by_tier[3], 0);  // no tier 3
   EXPECT_EQ(by_tier[4], total.decided_exact);
   EXPECT_EQ(by_tier[5], total.cache_hits);
 }

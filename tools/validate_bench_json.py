@@ -32,8 +32,7 @@ import sys
 WARN_REGRESSION = 0.15
 FAIL_REGRESSION = 0.50
 
-TIERS = ("invariant", "branch", "heuristic", "ot", "exact", "cache",
-         "index")
+TIERS = ("invariant", "branch", "heuristic", "exact", "cache", "index")
 
 
 def err(msg, problems):
