@@ -64,7 +64,7 @@ int main() {
   std::printf(
       "cascade pruned %ld/%ld candidates before any solver ran "
       "(%.0f%%), %ld exact calls, %.2f ms\n",
-      c.pruned_invariant + c.pruned_branch, c.candidates,
+      c.pruned_index + c.pruned_invariant + c.pruned_branch, c.candidates,
       100.0 * c.PrunedBeforeSolvers(), c.exact_calls, res.stats.wall_ms);
   return 0;
 }

@@ -13,7 +13,7 @@
 /// reuse across a GraphStore::Restore), not a correctness requirement for
 /// plain Erase.
 ///
-/// Sharded by key hash: lookups and inserts from the work-stealing pool
+/// Sharded by key hash: lookups and inserts from the engine's thread pool
 /// contend only within a shard, and each shard runs its own LRU.
 #ifndef OTGED_SEARCH_BOUND_CACHE_HPP_
 #define OTGED_SEARCH_BOUND_CACHE_HPP_

@@ -88,8 +88,7 @@ void IndexView::RangeCandidates(const GraphInvariants& qi, int tau,
   const double t1 = telemetry::NowUs();
   const auto query_rle = RleLabels(qi.sorted_labels);
   for (const IndexPartition* part : opened)
-    PartitionLabelCandidates(*part, qi, query_rle, tau, wl_prefix_bits_,
-                             out_ids, stats);
+    PartitionLabelCandidates(*part, qi, query_rle, tau, out_ids, stats);
   // Partitions iterate by (n, m); interleave back to ascending id.
   std::sort(out_ids->begin() + static_cast<long>(first), out_ids->end());
   const double t2 = telemetry::NowUs();
@@ -109,8 +108,6 @@ void IndexView::RangeCandidates(const GraphInvariants& qi, int tau,
 #endif
 }
 
-GraphIndex::GraphIndex(const IndexOptions& opt) : opt_(opt) {}
-
 std::shared_ptr<const IndexView> GraphIndex::ViewFor(
     const std::shared_ptr<const StoreSnapshot>& snap) {
   MutexLock lock(mu_);
@@ -128,9 +125,7 @@ std::shared_ptr<const IndexView> GraphIndex::BuildFull(
   auto view = std::shared_ptr<IndexView>(new IndexView);
   view->epoch_ = snap->epoch();
   view->size_ = snap->Size();
-  view->wl_prefix_bits_ = opt_.wl_prefix_bits;
-  view->partitions_ =
-      BuildPartitionMap(snap->entry_ptrs(), opt_.wl_prefix_bits);
+  view->partitions_ = BuildPartitionMap(snap->entry_ptrs());
   return view;
 }
 
@@ -168,9 +163,7 @@ std::shared_ptr<const IndexView> GraphIndex::Advance(
   auto view = std::shared_ptr<IndexView>(new IndexView);
   view->epoch_ = snap->epoch();
   view->size_ = snap->Size();
-  view->wl_prefix_bits_ = opt_.wl_prefix_bits;
-  view->partitions_ = ApplyPartitionDiff(view_->partitions_, added, removed,
-                                         opt_.wl_prefix_bits);
+  view->partitions_ = ApplyPartitionDiff(view_->partitions_, added, removed);
 #if OTGED_TELEMETRY_COMPILED
   if (telemetry::Enabled()) Metrics().applies->Inc();
 #endif

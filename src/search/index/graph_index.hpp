@@ -40,12 +40,10 @@
 
 namespace otged {
 
-struct IndexOptions {
-  /// Width of the tau == 0 WL-hash prefix tables (1..64). Wider prefixes
-  /// mean smaller buckets; candidates are always confirmed against the
-  /// full hash, so this only trades space for bucket selectivity.
-  int wl_prefix_bits = 16;
-};
+/// The index has no settable options (the tau == 0 prefix width is
+/// kWlPrefixBits). The empty struct stays because gedbench still builds
+/// a GraphIndex from EngineOptions::index.
+struct IndexOptions {};
 
 /// The index at one store epoch. Immutable; safe to share across
 /// threads; valid for as long as the shared_ptr is held.
@@ -66,7 +64,6 @@ class IndexView {
 
   uint64_t epoch_ = 0;
   int size_ = 0;
-  int wl_prefix_bits_ = 16;
   PartitionMap partitions_;
 };
 
@@ -74,7 +71,7 @@ class IndexView {
 /// flight keep whatever view they pinned.
 class GraphIndex {
  public:
-  explicit GraphIndex(const IndexOptions& opt = IndexOptions());
+  explicit GraphIndex(const IndexOptions& = IndexOptions()) {}
 
   /// The view for `snap`, building or incrementally advancing the cached
   /// view as needed.
@@ -89,7 +86,6 @@ class GraphIndex {
   void Install(const std::shared_ptr<const StoreSnapshot>& snap,
                std::shared_ptr<const IndexView> view) REQUIRES(mu_);
 
-  const IndexOptions opt_;
   Mutex mu_;
   std::shared_ptr<const StoreSnapshot> base_ GUARDED_BY(mu_);
   std::shared_ptr<const IndexView> view_ GUARDED_BY(mu_);

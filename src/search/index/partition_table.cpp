@@ -7,11 +7,7 @@ namespace otged {
 
 namespace {
 
-int ClampPrefixBits(int bits) { return std::min(64, std::max(1, bits)); }
-
-uint64_t WlPrefix(uint64_t hash, int bits) {
-  return hash >> (64 - ClampPrefixBits(bits));
-}
+uint64_t WlPrefix(uint64_t hash) { return hash >> (64 - kWlPrefixBits); }
 
 /// ceil(L1(query degrees, envelope) / 2): positional gap between the
 /// query's ascending degree sequence and the partition's [min, max]
@@ -51,8 +47,7 @@ uint64_t PartitionKey(int num_nodes, int num_edges) {
 
 std::shared_ptr<const IndexPartition> BuildPartition(
     int num_nodes, int num_edges,
-    std::vector<std::shared_ptr<const StoreEntry>> members,
-    int wl_prefix_bits) {
+    std::vector<std::shared_ptr<const StoreEntry>> members) {
   auto part = std::make_shared<IndexPartition>();
   part->num_nodes = num_nodes;
   part->num_edges = num_edges;
@@ -83,7 +78,7 @@ std::shared_ptr<const IndexPartition> BuildPartition(
         part->degree_max[j] = std::max(part->degree_max[j], d);
       }
     }
-    part->wl_prefixes.emplace_back(WlPrefix(inv.wl_hash, wl_prefix_bits),
+    part->wl_prefixes.emplace_back(WlPrefix(inv.wl_hash),
                                    static_cast<int32_t>(slot));
   }
   part->postings.reserve(postings.size());
@@ -94,8 +89,7 @@ std::shared_ptr<const IndexPartition> BuildPartition(
 }
 
 PartitionMap BuildPartitionMap(
-    const std::vector<std::shared_ptr<const StoreEntry>>& entries,
-    int wl_prefix_bits) {
+    const std::vector<std::shared_ptr<const StoreEntry>>& entries) {
   std::map<uint64_t, std::vector<std::shared_ptr<const StoreEntry>>> groups;
   for (const auto& e : entries)
     groups[PartitionKey(e->invariants.num_nodes, e->invariants.num_edges)]
@@ -105,15 +99,14 @@ PartitionMap BuildPartitionMap(
     out.emplace(key,
                 BuildPartition(static_cast<int>(key >> 32),
                                static_cast<int>(key & 0xffffffffu),
-                               std::move(members), wl_prefix_bits));
+                               std::move(members)));
   return out;
 }
 
 PartitionMap ApplyPartitionDiff(
     const PartitionMap& base,
     const std::vector<std::shared_ptr<const StoreEntry>>& added,
-    const std::vector<std::shared_ptr<const StoreEntry>>& removed,
-    int wl_prefix_bits) {
+    const std::vector<std::shared_ptr<const StoreEntry>>& removed) {
   struct Delta {
     std::vector<std::shared_ptr<const StoreEntry>> adds;
     std::vector<int> removed_ids;
@@ -150,10 +143,9 @@ PartitionMap ApplyPartitionDiff(
     if (merged.empty()) {
       if (it != out.end()) out.erase(it);
     } else {
-      out[key] =
-          BuildPartition(static_cast<int>(key >> 32),
-                         static_cast<int>(key & 0xffffffffu),
-                         std::move(merged), wl_prefix_bits);
+      out[key] = BuildPartition(static_cast<int>(key >> 32),
+                                static_cast<int>(key & 0xffffffffu),
+                                std::move(merged));
     }
   }
   return out;
@@ -188,15 +180,14 @@ void ScreenPartitions(const PartitionMap& parts, const GraphInvariants& qi,
 void PartitionLabelCandidates(
     const IndexPartition& part, const GraphInvariants& qi,
     const std::vector<std::pair<Label, int>>& query_rle, int tau,
-    int wl_prefix_bits, std::vector<int>* out_ids, IndexStats* stats) {
+    std::vector<int>* out_ids, IndexStats* stats) {
   const long size = static_cast<long>(part.members.size());
   long emitted = 0;
   if (tau == 0) {
     // The screen already enforced equal (n, m); WL-hash equality is
     // additionally necessary for GED == 0, so only the query's prefix
     // bucket is opened and confirmed against the full hash.
-    const std::pair<uint64_t, int32_t> probe(
-        WlPrefix(qi.wl_hash, wl_prefix_bits), -1);
+    const std::pair<uint64_t, int32_t> probe(WlPrefix(qi.wl_hash), -1);
     for (auto it = std::lower_bound(part.wl_prefixes.begin(),
                                     part.wl_prefixes.end(), probe);
          it != part.wl_prefixes.end() && it->first == probe.first; ++it) {

@@ -36,6 +36,11 @@
 
 namespace otged {
 
+/// Width of the tau == 0 WL-hash prefix tables. Candidates are always
+/// confirmed against the full hash, so the width only trades space for
+/// bucket selectivity.
+constexpr int kWlPrefixBits = 16;
+
 /// One (num_nodes, num_edges) partition; immutable once built, shared
 /// between index views (copy-on-write at the partition level).
 struct IndexPartition {
@@ -58,7 +63,7 @@ struct IndexPartition {
   std::vector<int> degree_min;
   std::vector<int> degree_max;
 
-  /// (wl_hash >> (64 - prefix_bits), member slot) ascending — the
+  /// (wl_hash >> (64 - kWlPrefixBits), member slot) ascending — the
   /// tau == 0 prefix table. Candidate buckets are confirmed against the
   /// full hash before emitting.
   std::vector<std::pair<uint64_t, int32_t>> wl_prefixes;
@@ -69,24 +74,21 @@ uint64_t PartitionKey(int num_nodes, int num_edges);
 
 std::shared_ptr<const IndexPartition> BuildPartition(
     int num_nodes, int num_edges,
-    std::vector<std::shared_ptr<const StoreEntry>> members,
-    int wl_prefix_bits);
+    std::vector<std::shared_ptr<const StoreEntry>> members);
 
 using PartitionMap =
     std::map<uint64_t, std::shared_ptr<const IndexPartition>>;
 
 /// Groups a snapshot's entries (ascending by id) into partitions.
 PartitionMap BuildPartitionMap(
-    const std::vector<std::shared_ptr<const StoreEntry>>& entries,
-    int wl_prefix_bits);
+    const std::vector<std::shared_ptr<const StoreEntry>>& entries);
 
 /// Copy-on-write update: untouched partitions are shared with `base`,
 /// touched ones are rebuilt from their surviving + added members.
 PartitionMap ApplyPartitionDiff(
     const PartitionMap& base,
     const std::vector<std::shared_ptr<const StoreEntry>>& added,
-    const std::vector<std::shared_ptr<const StoreEntry>>& removed,
-    int wl_prefix_bits);
+    const std::vector<std::shared_ptr<const StoreEntry>>& removed);
 
 /// Level 1: appends partitions that survive the signature and degree
 /// envelope screens to `opened`; accounts pruned members in `stats`.
@@ -101,7 +103,7 @@ void ScreenPartitions(const PartitionMap& parts, const GraphInvariants& qi,
 void PartitionLabelCandidates(
     const IndexPartition& part, const GraphInvariants& qi,
     const std::vector<std::pair<Label, int>>& query_rle, int tau,
-    int wl_prefix_bits, std::vector<int>* out_ids, IndexStats* stats);
+    std::vector<int>* out_ids, IndexStats* stats);
 
 }  // namespace otged
 

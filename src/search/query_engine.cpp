@@ -103,8 +103,7 @@ QueryEngine::QueryEngine(const GraphStore* store, const EngineOptions& opt)
       cascade_(opt.cascade),
       use_cache_(opt.use_bound_cache),
       topk_refine_budget_(opt.topk_seed_refine_budget),
-      topk_probes_(opt.topk_seed_probes),
-      cache_(opt.cache_capacity) {
+      topk_probes_(opt.topk_seed_probes) {
   OTGED_CHECK(store_ != nullptr);
   if (opt.use_index) index_ = std::make_unique<GraphIndex>(opt.index);
   int threads = opt.num_threads;
@@ -112,7 +111,7 @@ QueryEngine::QueryEngine(const GraphStore* store, const EngineOptions& opt)
     threads = static_cast<int>(std::thread::hardware_concurrency());
     if (threads <= 0) threads = 1;
   }
-  pool_ = std::make_unique<WorkStealingPool>(threads);
+  pool_ = std::make_unique<ThreadPool>(threads);
 }
 
 std::shared_ptr<const StoreSnapshot> QueryEngine::PinSnapshot() const {

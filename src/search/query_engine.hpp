@@ -3,7 +3,7 @@
 ///
 /// The engine answers range queries (all graphs with GED(q, g) <= tau)
 /// and top-k queries (the k nearest graphs by exact GED, ties broken by
-/// id) by driving the FilterCascade over a work-stealing thread pool.
+/// id) by driving the FilterCascade over a shared-cursor thread pool.
 /// Every query pins one StoreSnapshot for its whole lifetime, so serving
 /// interleaves safely with GraphStore::Insert/Erase: the result is exact
 /// for the snapshot whose epoch is reported in QueryStats. Results are
@@ -50,22 +50,21 @@
 #include "search/filter_cascade.hpp"
 #include "search/graph_store.hpp"
 #include "search/index/graph_index.hpp"
-#include "search/work_stealing_pool.hpp"
+#include "search/thread_pool.hpp"
 
 namespace otged {
 
 struct EngineOptions {
   int num_threads = 0;  ///< 0 = std::thread::hardware_concurrency()
   CascadeOptions cascade;
-  bool use_bound_cache = true;    ///< cache proven-exact pair distances
-  size_t cache_capacity = 65536;  ///< bound-cache entry budget
+  bool use_bound_cache = true;  ///< cache proven-exact pair distances
   /// Generate range candidates through the two-level index instead of
   /// scanning every stored graph (top-k always scans its bound matrix).
   /// The index prunes only via admissible lower bounds, so results are
   /// byte-identical either way; turning it off is for verification and
   /// micro-benchmarks.
   bool use_index = true;
-  IndexOptions index;
+  IndexOptions index;  ///< empty: the index has no settable options
   /// Top-k verifies every graph whose lower bound is under the cap set
   /// by the k seeds' upper bounds, so a loose greedy bound on one seed
   /// drags in a large slice of the corpus. Each seed pair therefore
@@ -211,7 +210,7 @@ class QueryEngine {
   /// Mutable because serving (const) advances the cached view; GraphIndex
   /// is internally synchronized.
   std::unique_ptr<GraphIndex> index_;
-  std::unique_ptr<WorkStealingPool> pool_;
+  std::unique_ptr<ThreadPool> pool_;
   mutable Mutex serve_mu_;  ///< one call at a time on the pool
   bool use_cache_;
   long topk_refine_budget_;

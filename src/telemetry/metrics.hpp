@@ -6,10 +6,10 @@
 ///
 ///   Counter    monotone sum, sharded into cache-line-padded per-thread
 ///              atomic cells; Inc is one relaxed fetch_add on the
-///              caller's stripe, so increments from the work-stealing
+///              caller's stripe, so increments from the engine's thread
 ///              pool never serialize against each other.
 ///   Gauge      last-written value (Set) or running signed sum (Add) in
-///              a single atomic — used for levels like queue depth or
+///              a single atomic — used for levels like the store size or
 ///              the store epoch where sharding has no meaning.
 ///   Histogram  log-linear bucketed distribution (8 sub-buckets per
 ///              power of two => <= 12.5% relative bucket width, exact
@@ -254,15 +254,6 @@ MetricsRegistry& Registry();
     }                                                                     \
   } while (0)
 
-#define OTGED_GAUGE_ADD(name, help, n)                                    \
-  do {                                                                    \
-    if (::otged::telemetry::Enabled()) {                                  \
-      static ::otged::telemetry::Gauge& otged_gauge_ =                    \
-          ::otged::telemetry::Registry().GetGauge((name), (help));        \
-      otged_gauge_.Add(n);                                                \
-    }                                                                     \
-  } while (0)
-
 #define OTGED_HIST_RECORD(name, help, value)                              \
   do {                                                                    \
     if (::otged::telemetry::Enabled()) {                                  \
@@ -277,7 +268,6 @@ MetricsRegistry& Registry();
 #define OTGED_TELEMETRY_ON() (false)
 #define OTGED_COUNT_N(name, help, n) do {} while (0)
 #define OTGED_GAUGE_SET(name, help, v) do {} while (0)
-#define OTGED_GAUGE_ADD(name, help, n) do {} while (0)
 #define OTGED_HIST_RECORD(name, help, value) do {} while (0)
 
 #endif  // OTGED_TELEMETRY_COMPILED

@@ -31,8 +31,8 @@ namespace otged {
 namespace telemetry {
 
 /// One (query, candidate) cascade decision. `tier` matches
-/// CascadeTier: 0 invariant, 1 branch, 2 heuristic, 3 ot, 4 exact,
-/// 5 bound-cache hit.
+/// CascadeTier: 0 invariant, 1 branch, 2 heuristic, 4 exact, 5 bound-cache
+/// hit (3 is unused, so `tier_us[3]` stays 0).
 struct TraceEvent {
   uint64_t query_id = 0;   ///< engine-assigned per-query trace id
   int graph_id = -1;       ///< stable store id of the candidate

@@ -4,13 +4,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "exact/branch_and_bound.hpp"
 #include "graph/generator.hpp"
 #include "heuristics/bipartite.hpp"
-#include "search/work_stealing_pool.hpp"
+#include "search/thread_pool.hpp"
 
 namespace otged {
 namespace {
@@ -80,22 +82,29 @@ TEST(InvariantLowerBoundTest, ZeroOnIdenticalAndPermutedGraphs) {
             0);
 }
 
-TEST(WorkStealingPoolTest, CoversEveryIndexExactlyOnce) {
+TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {
+  // n = 1000 is not a multiple of grain 7, so the last chunk is short.
   for (int threads : {1, 2, 4}) {
-    WorkStealingPool pool(threads);
-    const int n = 1000;
-    std::vector<std::atomic<int>> hits(n);
-    pool.ParallelFor(n, /*grain=*/7,
-                     [&](int64_t i, int) {
-                       hits[i].fetch_add(1, std::memory_order_relaxed);
-                     });
-    for (int i = 0; i < n; ++i)
-      EXPECT_EQ(hits[i].load(std::memory_order_relaxed), 1);
+    ThreadPool pool(threads);
+    for (int grain : {1, 7, 64}) {
+      const int n = 1000;
+      std::vector<std::atomic<int>> hits(n);
+      std::atomic<int> bad_worker{0};
+      pool.ParallelFor(n, grain, [&](int64_t i, int worker) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+        if (worker < 0 || worker >= pool.num_threads())
+          bad_worker.fetch_add(1, std::memory_order_relaxed);
+      });
+      for (int i = 0; i < n; ++i)
+        EXPECT_EQ(hits[i].load(std::memory_order_relaxed), 1)
+            << "threads " << threads << " grain " << grain << " i " << i;
+      EXPECT_EQ(bad_worker.load(std::memory_order_relaxed), 0);
+    }
   }
 }
 
-TEST(WorkStealingPoolTest, HandlesEmptyAndTinyLoops) {
-  WorkStealingPool pool(4);
+TEST(ThreadPoolTest, HandlesEmptyAndTinyLoops) {
+  ThreadPool pool(4);
   std::atomic<int> count{0};
   pool.ParallelFor(
       0, 1, [&](int64_t, int) {
@@ -108,14 +117,29 @@ TEST(WorkStealingPoolTest, HandlesEmptyAndTinyLoops) {
   EXPECT_EQ(count.load(std::memory_order_relaxed), 3);
 }
 
-TEST(WorkStealingPoolTest, ReusableAcrossLoops) {
-  WorkStealingPool pool(3);
-  for (int round = 0; round < 5; ++round) {
+/// Hundreds of back-to-back loops barely above the grain. In the fast
+/// rounds the caller usually runs every chunk itself, so workers wake
+/// after their loop has ended, while the next one may be running; in
+/// the slow rounds workers claim chunks and the caller must wait for
+/// them. Each loop must see exactly its own indices, body and worker ids.
+TEST(ThreadPoolTest, ReusableAcrossLoops) {
+  ThreadPool pool(4);
+  for (int round = 0; round < 400; ++round) {
+    const int grain = 1 + round % 4;
+    const int64_t n = grain + 1 + round % 3;
+    const bool slow = round % 2 == 1;
     std::atomic<long> sum{0};
-    pool.ParallelFor(100, 4, [&](int64_t i, int) {
-      sum.fetch_add(i, std::memory_order_relaxed);
+    std::atomic<int> bad_worker{0};
+    pool.ParallelFor(n, grain, [&](int64_t i, int worker) {
+      if (slow) std::this_thread::sleep_for(std::chrono::microseconds(20));
+      sum.fetch_add(i + round, std::memory_order_relaxed);
+      if (worker < 0 || worker >= pool.num_threads())
+        bad_worker.fetch_add(1, std::memory_order_relaxed);
     });
-    EXPECT_EQ(sum.load(std::memory_order_relaxed), 100 * 99 / 2);
+    EXPECT_EQ(sum.load(std::memory_order_relaxed),
+              n * (n - 1) / 2 + n * round)
+        << "round " << round;
+    EXPECT_EQ(bad_worker.load(std::memory_order_relaxed), 0);
   }
 }
 

@@ -60,7 +60,6 @@ METRIC_MACROS = {
     "OTGED_COUNT": "counter",
     "OTGED_COUNT_N": "counter",
     "OTGED_GAUGE_SET": "gauge",
-    "OTGED_GAUGE_ADD": "gauge",
     "OTGED_HIST_RECORD": "histogram",
     "GetCounter": "counter",
     "GetGauge": "gauge",
