@@ -23,10 +23,15 @@
 ///                   store; the incrementally advanced index is
 ///                   re-verified against the linear scan.
 ///                   GATE: zero mismatches.
+///                   Then a streamed churn: cycles of 2 inserts + 2
+///                   erases + 1 range read, each read checked against
+///                   the linear scan; prints the p50 of each insert,
+///                   erase and index view advance.
+///                   GATE: zero mismatches.
 ///   5. RECORD     — QPS and p50/p95/p99 latency over the indexed
 ///                   serving sections, persisted as `BENCH_scale.json`
 ///                   (schema in src/telemetry/bench_report.hpp, with
-///                   the optional "index" section).
+///                   the optional "index" and "churn" sections).
 ///
 /// Every gate failure flips the exit code to 1; CI runs `--smoke`.
 ///
@@ -97,6 +102,7 @@ int main(int argc, char** argv) {
   const int verify_topk = smoke ? 4 : 3;
   const int churn_n = smoke ? 200 : 2'000;
   const int churn_verify = smoke ? 6 : 20;
+  const int stream_cycles = smoke ? 30 : 300;
   const int tau = 2;
   const int k = 1;
   bool failed = false;
@@ -296,6 +302,54 @@ int main(int argc, char** argv) {
               churn_mismatched == 0 ? "PASS byte-identical" : "FAIL");
   failed = failed || churn_mismatched != 0;
 
+  // Streamed churn: the write pattern of a serving store, timed per
+  // operation. The view is advanced explicitly so the range read that
+  // follows finds it current; these reads stay out of the record's
+  // serving latencies.
+  std::printf("== streamed churn: %d cycles of 2 inserts + 2 erases + 1 "
+              "range read ==\n",
+              stream_cycles);
+  std::vector<double> insert_ms, erase_ms, view_ms;
+  long stream_mismatched = 0;
+  for (int c = 0; c < stream_cycles; ++c) {
+    for (int w = 0; w < 2; ++w) {
+      Graph g = AidsLikeGraph(&rng, 6, 14);
+      const auto tw = std::chrono::steady_clock::now();
+      store.Insert(std::move(g));
+      insert_ms.push_back(1e3 * Seconds(tw));
+    }
+    for (int w = 0; w < 2; ++w) {
+      auto snap = store.Snapshot();
+      const int victim = snap->id(rng.UniformInt(0, snap->Size() - 1));
+      const auto tw = std::chrono::steady_clock::now();
+      store.Erase(victim);
+      erase_ms.push_back(1e3 * Seconds(tw));
+    }
+    const auto tv = std::chrono::steady_clock::now();
+    (void)indexed.index()->ViewFor(store.Snapshot());
+    view_ms.push_back(1e3 * Seconds(tv));
+    SyntheticEditOptions sopt;
+    sopt.num_edits = 1 + c % 3;
+    sopt.num_labels = 29;
+    const Graph query =
+        SyntheticEditPair(seeds[static_cast<size_t>(c) % seeds.size()],
+                          sopt, &rng)
+            .g2;
+    RangeResult got = indexed.Range(query, tau);
+    RangeResult expected = brute.Range(query, tau);
+    if (!SameHits(got.hits, expected.hits)) ++stream_mismatched;
+  }
+  const double insert_p50 = telemetry::PercentileOf(insert_ms, 0.50);
+  const double erase_p50 = telemetry::PercentileOf(erase_ms, 0.50);
+  const double view_p50 = telemetry::PercentileOf(view_ms, 0.50);
+  std::printf("  p50: insert %.4f ms, erase %.4f ms, index view %.4f ms\n",
+              insert_p50, erase_p50, view_p50);
+  std::printf("  store now %d graphs | %d reads checked, %ld mismatched  "
+              "[%s]\n\n",
+              store.Size(), stream_cycles, stream_mismatched,
+              stream_mismatched == 0 ? "PASS byte-identical" : "FAIL");
+  failed = failed || stream_mismatched != 0;
+
   // ------------------------------------------------- 5. perf record
   telemetry::BenchReport report;
   report.bench = "bench_search_scale";
@@ -333,6 +387,10 @@ int main(int argc, char** argv) {
       static_cast<double>(frac_total.partition_pruned) / all_scanned;
   report.index_label_prune_fraction =
       static_cast<double>(frac_total.label_pruned) / all_scanned;
+  report.has_churn = true;
+  report.churn_insert_ms_p50 = insert_p50;
+  report.churn_erase_ms_p50 = erase_p50;
+  report.churn_view_ms_p50 = view_p50;
 
   std::printf("== record: %.2f queries/s | latency p50 %.2f ms, p95 "
               "%.2f ms, p99 %.2f ms ==\n",

@@ -111,13 +111,84 @@ int InvariantLowerBound(const GraphInvariants& a, const GraphInvariants& b) {
 }
 
 int StoreSnapshot::SlotOf(int id) const {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), id,
+  // The first chunk whose last id is >= id is the only one that can
+  // hold it.
+  const auto c = std::lower_bound(
+      chunks_.begin(), chunks_.end(), id,
+      [](const std::shared_ptr<const StoreChunk>& ch, int v) {
+        return ch->back()->id < v;
+      });
+  if (c == chunks_.end()) return -1;
+  const auto it = std::lower_bound(
+      (*c)->begin(), (*c)->end(), id,
       [](const std::shared_ptr<const StoreEntry>& e, int v) {
         return e->id < v;
       });
-  if (it == entries_.end() || (*it)->id != id) return -1;
-  return static_cast<int>(it - entries_.begin());
+  if ((*it)->id != id) return -1;
+  return starts_[static_cast<size_t>(c - chunks_.begin())] +
+         static_cast<int>(it - (*c)->begin());
+}
+
+void StoreSnapshot::Append(
+    std::vector<std::shared_ptr<const StoreEntry>> entries) {
+  constexpr size_t kChunk = kStoreChunkSize;
+  size_t next = 0;
+  if (!chunks_.empty() && chunks_.back()->size() < kChunk) {
+    auto tail = std::make_shared<StoreChunk>(*chunks_.back());
+    const size_t take = std::min(kChunk - tail->size(), entries.size());
+    tail->insert(tail->end(), std::make_move_iterator(entries.begin()),
+                 std::make_move_iterator(entries.begin() +
+                                         static_cast<long>(take)));
+    chunks_.back() = std::move(tail);
+    next = take;
+    size_ += static_cast<int>(take);
+  }
+  while (next < entries.size()) {
+    const size_t take = std::min(kChunk, entries.size() - next);
+    auto chunk = std::make_shared<StoreChunk>(
+        std::make_move_iterator(entries.begin() + static_cast<long>(next)),
+        std::make_move_iterator(entries.begin() +
+                                static_cast<long>(next + take)));
+    chunks_.push_back(std::move(chunk));
+    starts_.push_back(size_);
+    next += take;
+    size_ += static_cast<int>(take);
+  }
+}
+
+void StoreSnapshot::EraseSlot(int slot) {
+  const size_t c = ChunkOf(slot);
+  if (chunks_[c]->size() == 1) {
+    chunks_.erase(chunks_.begin() + static_cast<long>(c));
+    starts_.erase(starts_.begin() + static_cast<long>(c));
+  } else {
+    auto chunk = std::make_shared<StoreChunk>(*chunks_[c]);
+    chunk->erase(chunk->begin() + (slot - starts_[c]));
+    chunks_[c] = std::move(chunk);
+  }
+  for (size_t d = c; d < starts_.size(); ++d)
+    if (starts_[d] > slot) --starts_[d];
+  --size_;
+  // Merge chunk m with chunk m + 1 when they fit one chunk; an erase can
+  // only break that bound for the pairs around chunk c.
+  const auto fits = [this](size_t m) {
+    return m + 1 < chunks_.size() &&
+           chunks_[m]->size() + chunks_[m + 1]->size() <=
+               static_cast<size_t>(kStoreChunkSize);
+  };
+  size_t m = chunks_.size();
+  if (c > 0 && fits(c - 1)) {
+    m = c - 1;
+  } else if (fits(c)) {
+    m = c;
+  }
+  if (m == chunks_.size()) return;
+  auto merged = std::make_shared<StoreChunk>(*chunks_[m]);
+  merged->insert(merged->end(), chunks_[m + 1]->begin(),
+                 chunks_[m + 1]->end());
+  chunks_[m] = std::move(merged);
+  chunks_.erase(chunks_.begin() + static_cast<long>(m + 1));
+  starts_.erase(starts_.begin() + static_cast<long>(m + 1));
 }
 
 GraphStore::GraphStore() : snap_(std::make_shared<StoreSnapshot>()) {}
@@ -152,12 +223,11 @@ int GraphStore::Insert(Graph g) {
   entry->invariants = ComputeInvariants(g);
   entry->graph = std::move(g);
   MutexLock lock(mu_);
-  entry->id = next_id_++;
-  auto next = std::make_shared<StoreSnapshot>();
+  const int id = next_id_++;
+  entry->id = id;
+  auto next = std::make_shared<StoreSnapshot>(*snap_);
   next->epoch_ = snap_->epoch_ + 1;
-  next->entries_ = snap_->entries_;
-  next->entries_.push_back(std::move(entry));
-  const int id = next->entries_.back()->id;
+  next->Append({std::move(entry)});
   snap_ = std::move(next);
   OTGED_COUNT("otged_store_inserts_total", "graphs ingested into the store");
   OTGED_STORE_GAUGES(snap_);
@@ -167,7 +237,7 @@ int GraphStore::Insert(Graph g) {
 void GraphStore::AddAll(const std::vector<Graph>& graphs) {
   if (graphs.empty()) return;
   // Invariants are computed outside the lock; one snapshot publication
-  // covers the whole batch, keeping bulk ingest O(N) instead of O(N^2).
+  // covers the whole batch.
   std::vector<std::shared_ptr<StoreEntry>> pending;
   pending.reserve(graphs.size());
   for (const Graph& g : graphs) {
@@ -177,14 +247,11 @@ void GraphStore::AddAll(const std::vector<Graph>& graphs) {
     pending.push_back(std::move(entry));
   }
   MutexLock lock(mu_);
-  auto next = std::make_shared<StoreSnapshot>();
+  for (auto& entry : pending) entry->id = next_id_++;
+  auto next = std::make_shared<StoreSnapshot>(*snap_);
   next->epoch_ = snap_->epoch_ + 1;
-  next->entries_ = snap_->entries_;
-  next->entries_.reserve(next->entries_.size() + pending.size());
-  for (auto& entry : pending) {
-    entry->id = next_id_++;
-    next->entries_.push_back(std::move(entry));
-  }
+  next->Append(std::vector<std::shared_ptr<const StoreEntry>>(
+      pending.begin(), pending.end()));
   snap_ = std::move(next);
   OTGED_COUNT_N("otged_store_inserts_total",
                 "graphs ingested into the store",
@@ -196,10 +263,9 @@ bool GraphStore::Erase(int id) {
   MutexLock lock(mu_);
   const int slot = snap_->SlotOf(id);
   if (slot < 0) return false;
-  auto next = std::make_shared<StoreSnapshot>();
+  auto next = std::make_shared<StoreSnapshot>(*snap_);
   next->epoch_ = snap_->epoch_ + 1;
-  next->entries_ = snap_->entries_;
-  next->entries_.erase(next->entries_.begin() + slot);
+  next->EraseSlot(slot);
   snap_ = std::move(next);
   erase_log_.push_back(id);
   OTGED_COUNT("otged_store_erases_total", "graphs erased from the store");
@@ -270,19 +336,22 @@ bool GraphStore::Restore(std::vector<std::pair<int, Graph>> entries,
     if (id <= max_id) return false;  // ids must be strictly increasing
     max_id = id;
   }
-  auto next = std::make_shared<StoreSnapshot>();
-  next->entries_.reserve(entries.size());
+  std::vector<std::shared_ptr<const StoreEntry>> fresh;
+  fresh.reserve(entries.size());
   for (auto& [id, g] : entries) {
     auto entry = std::make_shared<StoreEntry>();
     entry->id = id;
     entry->invariants = ComputeInvariants(g);
     entry->graph = std::move(g);
-    next->entries_.push_back(std::move(entry));
+    fresh.push_back(std::move(entry));
   }
+  auto next = std::make_shared<StoreSnapshot>();
+  next->Append(std::move(fresh));
   MutexLock lock(mu_);
   // Retire every id that was present: after the swap the same id may name
   // a different graph, so downstream bound caches must drop it.
-  for (const auto& e : snap_->entries_) erase_log_.push_back(e->id);
+  for (const auto& chunk : snap_->chunks_)
+    for (const auto& e : *chunk) erase_log_.push_back(e->id);
   next->epoch_ = snap_->epoch_ + 1;
   next_id_ = std::max({next_id_, next_id, max_id + 1});
   snap_ = std::move(next);

@@ -7,16 +7,20 @@
 /// touches no adjacency structure until the bipartite tier.
 ///
 /// The store is mutable while serving: Insert/Erase build a new immutable
-/// StoreSnapshot (copy-on-write over shared per-graph entries, so a
-/// mutation copies O(size) pointers and zero graphs) and publish it under
-/// a mutex. Queries pin one snapshot for their whole lifetime, so an
-/// in-flight query always sees a consistent corpus — the one tagged with
-/// the snapshot's epoch — no matter how many mutations land meanwhile.
-/// Graph ids are stable and never reused: Insert assigns the next id from
-/// a monotone counter, and Erase retires the id forever.
+/// StoreSnapshot and publish it under a mutex. A snapshot keeps its
+/// entries in chunks of at most kStoreChunkSize shared per-graph entries;
+/// a mutation copies the chunks it touches plus the chunk-pointer vector
+/// (O(kStoreChunkSize + size / kStoreChunkSize) pointers, zero graphs)
+/// and shares every other chunk with the previous snapshot. Queries pin
+/// one snapshot for their whole lifetime, so an in-flight query always
+/// sees a consistent corpus — the one tagged with the snapshot's epoch —
+/// no matter how many mutations land meanwhile. Graph ids are stable and
+/// never reused: Insert assigns the next id from a monotone counter, and
+/// Erase retires the id forever.
 #ifndef OTGED_SEARCH_GRAPH_STORE_HPP_
 #define OTGED_SEARCH_GRAPH_STORE_HPP_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -84,6 +88,17 @@ struct StoreEntry {
   GraphInvariants invariants;
 };
 
+/// Entries per snapshot chunk. A write copies one chunk (up to this many
+/// entry pointers) and the chunk-pointer vector (size / kStoreChunkSize
+/// pointers); the index advance walks the entries of every chunk a write
+/// replaced. 512 keeps each copy to a few hundred pointers at 100k
+/// graphs (the two copies are equal at chunk size sqrt(size) ~ 320).
+constexpr int kStoreChunkSize = 512;
+
+/// A run of slot-consecutive entries, ascending by id, never empty.
+/// Immutable once published; shared between snapshots.
+using StoreChunk = std::vector<std::shared_ptr<const StoreEntry>>;
+
 /// An immutable view of the corpus at one epoch. Slots are dense
 /// [0, Size()) and ascend by stable id (mutations preserve insertion
 /// order, and ids are assigned monotonically). Safe to read from any
@@ -91,7 +106,7 @@ struct StoreEntry {
 /// regardless of later store mutations.
 class StoreSnapshot {
  public:
-  int Size() const { return static_cast<int>(entries_.size()); }
+  int Size() const { return size_; }
   uint64_t epoch() const { return epoch_; }
 
   int id(int slot) const { return entry(slot).id; }
@@ -103,23 +118,43 @@ class StoreSnapshot {
   /// Slot of a stable id (binary search over the ascending ids), or -1.
   int SlotOf(int id) const;
 
-  /// The shared entries themselves, ascending by id. Index layers hold
-  /// these pointers so their structures stay valid (and cheap to diff by
-  /// pointer identity) across later store mutations.
-  const std::vector<std::shared_ptr<const StoreEntry>>& entry_ptrs() const {
-    return entries_;
+  /// The chunks in slot order. A mutation replaces only the chunks it
+  /// touches, so two snapshots of one store share every other chunk by
+  /// pointer; the index diffs snapshots by that identity.
+  const std::vector<std::shared_ptr<const StoreChunk>>& chunks() const {
+    return chunks_;
   }
 
  private:
   friend class GraphStore;
 
+  /// Index of the chunk holding `slot`.
+  size_t ChunkOf(int slot) const {
+    return static_cast<size_t>(
+               std::upper_bound(starts_.begin(), starts_.end(), slot) -
+               starts_.begin()) -
+           1;
+  }
   const StoreEntry& entry(int slot) const {
     OTGED_DCHECK(slot >= 0 && slot < Size());
-    return *entries_[slot];
+    const size_t c = ChunkOf(slot);
+    return *(*chunks_[c])[static_cast<size_t>(slot - starts_[c])];
   }
 
+  /// Appends entries (ids above every present one): fills a copy of the
+  /// tail chunk, then fresh chunks.
+  void Append(std::vector<std::shared_ptr<const StoreEntry>> entries);
+  /// Removes one slot from a copy of its chunk. A chunk left empty is
+  /// dropped; otherwise it is merged with a neighbour when the two fit
+  /// one chunk, so adjacent chunks always hold more than kStoreChunkSize
+  /// entries together and there are at most 2 * Size() / kStoreChunkSize
+  /// + 1 chunks however the erases fall.
+  void EraseSlot(int slot);
+
   uint64_t epoch_ = 0;
-  std::vector<std::shared_ptr<const StoreEntry>> entries_;
+  int size_ = 0;
+  std::vector<std::shared_ptr<const StoreChunk>> chunks_;
+  std::vector<int> starts_;  ///< first slot of each chunk
 };
 
 /// A dynamic graph database serving concurrent readers. Mutations
@@ -144,8 +179,7 @@ class GraphStore {
   int Add(Graph g) { return Insert(std::move(g)); }
   /// Ingests every graph of a dataset, in order, as ONE mutation: ids
   /// are assigned consecutively but a single snapshot (one epoch bump)
-  /// is published, so bulk ingest copies the entry vector once instead
-  /// of once per graph.
+  /// is published. The graphs fill the tail chunk and then fresh chunks.
   void AddAll(const std::vector<Graph>& graphs) EXCLUDES(mu_);
   /// Removes the graph with the given id; returns false if absent. The id
   /// is retired permanently and logged for bound-cache invalidation.

@@ -1,6 +1,7 @@
 #include "search/index/graph_index.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -23,6 +24,7 @@ struct IndexMetrics {
   telemetry::Gauge* size;
   telemetry::Gauge* partitions;
   telemetry::Histogram* level_latency[2];
+  telemetry::Histogram* view_latency[2];  ///< kind = advance, build
 };
 
 const IndexMetrics& Metrics() {
@@ -56,6 +58,12 @@ const IndexMetrics& Metrics() {
           std::string("otged_index_level_latency_us{level=\"") + kLevel[l] +
               "\"}",
           "wall time spent in this index level per query");
+    static const char* kKind[2] = {"advance", "build"};
+    for (int k : {0, 1})
+      mm->view_latency[k] = &reg.GetHistogram(
+          std::string("otged_index_view_latency_us{kind=\"") + kKind[k] +
+              "\"}",
+          "wall time of a ViewFor that advanced or built the cached view");
     return mm;
   }();
   return *m;
@@ -111,76 +119,93 @@ void IndexView::RangeCandidates(const GraphInvariants& qi, int tau,
 std::shared_ptr<const IndexView> GraphIndex::ViewFor(
     const std::shared_ptr<const StoreSnapshot>& snap) {
   MutexLock lock(mu_);
-  if (view_ != nullptr && base_ != nullptr &&
-      base_->epoch() == snap->epoch())
-    return view_;
+  if (view_ != nullptr && view_->epoch() == snap->epoch()) return view_;
+  const double t0 = telemetry::NowUs();
   std::shared_ptr<const IndexView> view =
-      (view_ == nullptr) ? BuildFull(snap) : Advance(snap);
-  Install(snap, view);
-  return view;
+      view_ == nullptr ? nullptr : Advance(snap);
+  const bool advanced = view != nullptr;
+  if (!advanced) view = BuildFull(snap);
+  view_ = std::move(view);
+#if OTGED_TELEMETRY_COMPILED
+  if (telemetry::Enabled()) {
+    const auto& m = Metrics();
+    m.view_latency[advanced ? 0 : 1]->Record(
+        std::lround(telemetry::NowUs() - t0));
+    m.size->Set(view_->Size());
+    m.partitions->Set(static_cast<long>(view_->partitions_.size()));
+  }
+#else
+  (void)t0;
+#endif
+  return view_;
 }
 
 std::shared_ptr<const IndexView> GraphIndex::BuildFull(
     const std::shared_ptr<const StoreSnapshot>& snap) {
   auto view = std::shared_ptr<IndexView>(new IndexView);
-  view->epoch_ = snap->epoch();
-  view->size_ = snap->Size();
-  view->partitions_ = BuildPartitionMap(snap->entry_ptrs());
+  view->snap_ = snap;
+  view->partitions_ = BuildPartitionMap(snap->chunks());
   return view;
 }
 
 std::shared_ptr<const IndexView> GraphIndex::Advance(
     const std::shared_ptr<const StoreSnapshot>& snap) {
-  // Both entry vectors ascend by stable id; ids are never reused, but a
-  // Restore may rebind an id to a fresh entry object, so pointer
-  // inequality at an equal id counts as remove + add.
-  const auto& olds = base_->entry_ptrs();
-  const auto& news = snap->entry_ptrs();
-  std::vector<std::shared_ptr<const StoreEntry>> added, removed;
+  // Both chunk vectors ascend by id and their chunks are never empty, so
+  // a chunk the two share sits at the same first id in both: walking
+  // them by first id pairs every shared chunk, and whatever else is
+  // walked holds every entry the two snapshots differ in.
+  const auto& olds = view_->snap_->chunks();
+  const auto& news = snap->chunks();
+  std::vector<const StoreEntry*> old_only, new_only;
+  const auto append = [](const StoreChunk& chunk,
+                         std::vector<const StoreEntry*>* out) {
+    for (const auto& e : chunk) out->push_back(e.get());
+  };
+  bool shared = false;
   size_t i = 0, j = 0;
   while (i < olds.size() || j < news.size()) {
-    if (j == news.size() ||
-        (i < olds.size() && olds[i]->id < news[j]->id)) {
-      removed.push_back(olds[i++]);
-    } else if (i == olds.size() || news[j]->id < olds[i]->id) {
-      added.push_back(news[j++]);
-    } else {
-      if (olds[i] != news[j]) {
-        removed.push_back(olds[i]);
-        added.push_back(news[j]);
-      }
+    if (i < olds.size() && j < news.size() && olds[i] == news[j]) {
+      shared = true;
       ++i;
       ++j;
+      continue;
+    }
+    const int oi = i < olds.size() ? olds[i]->front()->id : INT_MAX;
+    const int nj = j < news.size() ? news[j]->front()->id : INT_MAX;
+    if (oi <= nj) append(*olds[i++], &old_only);
+    if (nj <= oi) append(*news[j++], &new_only);
+  }
+  if (!shared) return nullptr;  // e.g. a Restore: rebuild instead
+
+  // The unshared entries ascend by id on both sides. Mostly they are the
+  // same entries (a write copies a whole chunk), which compare equal
+  // without being dereferenced; an id bound to a different entry on each
+  // side counts as remove + add.
+  std::vector<const StoreEntry*> added, removed;
+  i = 0;
+  j = 0;
+  while (i < old_only.size() || j < new_only.size()) {
+    if (i < old_only.size() && j < new_only.size() &&
+        old_only[i] == new_only[j]) {
+      ++i;
+      ++j;
+    } else if (j == new_only.size() ||
+               (i < old_only.size() && old_only[i]->id < new_only[j]->id)) {
+      removed.push_back(old_only[i++]);
+    } else if (i == old_only.size() || new_only[j]->id < old_only[i]->id) {
+      added.push_back(new_only[j++]);
+    } else {
+      removed.push_back(old_only[i++]);
+      added.push_back(new_only[j++]);
     }
   }
-  if (added.empty() && removed.empty() && view_->size_ == snap->Size()) {
-    // Epoch moved without content change (e.g. erase of a missing id).
-    auto view = std::shared_ptr<IndexView>(new IndexView(*view_));
-    view->epoch_ = snap->epoch();
-    return view;
-  }
-
   auto view = std::shared_ptr<IndexView>(new IndexView);
-  view->epoch_ = snap->epoch();
-  view->size_ = snap->Size();
+  view->snap_ = snap;
   view->partitions_ = ApplyPartitionDiff(view_->partitions_, added, removed);
 #if OTGED_TELEMETRY_COMPILED
   if (telemetry::Enabled()) Metrics().applies->Inc();
 #endif
   return view;
-}
-
-void GraphIndex::Install(const std::shared_ptr<const StoreSnapshot>& snap,
-                         std::shared_ptr<const IndexView> view) {
-  base_ = snap;
-  view_ = std::move(view);
-#if OTGED_TELEMETRY_COMPILED
-  if (telemetry::Enabled()) {
-    const auto& m = Metrics();
-    m.size->Set(view_->size_);
-    m.partitions->Set(static_cast<long>(view_->partitions_.size()));
-  }
-#endif
 }
 
 }  // namespace otged

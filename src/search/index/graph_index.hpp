@@ -20,12 +20,17 @@
 /// InvariantLowerBound (see query_engine.hpp).
 ///
 /// Consistency model: an IndexView is immutable and tied to one store
-/// epoch. GraphIndex caches the view for the most recent snapshot it
-/// served and advances it by diffing snapshot entry vectors (both are
-/// ascending by stable id, so the diff is a linear merge walk);
-/// partitions update copy-on-write. Concurrent queries that pinned older
-/// views keep using them untouched. Nothing of the index is persisted:
-/// it is derived data, rebuilt from the store on first use.
+/// snapshot, which it holds. GraphIndex caches the view for the most
+/// recent snapshot it served and advances it to the next one in
+/// O(changes): chunks the two snapshots share by pointer are skipped
+/// unread, and an id merge walk runs over the entries of the other
+/// chunks only, in either direction (an older snapshot diffs backward).
+/// The touched partitions are patched copy-on-write; the rest are
+/// shared. A snapshot that shares no chunk with the cached one (the
+/// first view, any Restore) is built from scratch. Concurrent queries
+/// that pinned older views keep using them untouched. Nothing of the
+/// index is persisted: it is derived data, rebuilt from the store on
+/// first use.
 #ifndef OTGED_SEARCH_INDEX_GRAPH_INDEX_HPP_
 #define OTGED_SEARCH_INDEX_GRAPH_INDEX_HPP_
 
@@ -49,8 +54,8 @@ struct IndexOptions {};
 /// threads; valid for as long as the shared_ptr is held.
 class IndexView {
  public:
-  uint64_t epoch() const { return epoch_; }
-  int Size() const { return size_; }
+  uint64_t epoch() const { return snap_->epoch(); }
+  int Size() const { return snap_->Size(); }
 
   /// Range candidate generation (levels 1 + 2): appends ascending stable
   /// ids of every graph whose partition/label lower bounds are <= tau.
@@ -62,8 +67,8 @@ class IndexView {
  private:
   friend class GraphIndex;
 
-  uint64_t epoch_ = 0;
-  int size_ = 0;
+  /// The snapshot indexed; it keeps every partition member alive.
+  std::shared_ptr<const StoreSnapshot> snap_;
   PartitionMap partitions_;
 };
 
@@ -81,13 +86,12 @@ class GraphIndex {
  private:
   std::shared_ptr<const IndexView> BuildFull(
       const std::shared_ptr<const StoreSnapshot>& snap) REQUIRES(mu_);
+  /// The cached view advanced to `snap` by diffing the chunks the two
+  /// snapshots do not share; nullptr when they share none.
   std::shared_ptr<const IndexView> Advance(
       const std::shared_ptr<const StoreSnapshot>& snap) REQUIRES(mu_);
-  void Install(const std::shared_ptr<const StoreSnapshot>& snap,
-               std::shared_ptr<const IndexView> view) REQUIRES(mu_);
 
   Mutex mu_;
-  std::shared_ptr<const StoreSnapshot> base_ GUARDED_BY(mu_);
   std::shared_ptr<const IndexView> view_ GUARDED_BY(mu_);
 };
 

@@ -46,8 +46,9 @@ constexpr int kWlPrefixBits = 16;
 struct IndexPartition {
   int num_nodes = 0;
   int num_edges = 0;
-  /// Members ascending by stable id.
-  std::vector<std::shared_ptr<const StoreEntry>> members;
+  /// Members ascending by stable id. Not owned: every view that holds
+  /// this partition also holds a snapshot containing each member.
+  std::vector<const StoreEntry*> members;
 
   /// Inverted index: for each label present in some member, the members
   /// containing it with their multiplicity. Ascending by label; inner
@@ -73,22 +74,27 @@ struct IndexPartition {
 uint64_t PartitionKey(int num_nodes, int num_edges);
 
 std::shared_ptr<const IndexPartition> BuildPartition(
-    int num_nodes, int num_edges,
-    std::vector<std::shared_ptr<const StoreEntry>> members);
+    int num_nodes, int num_edges, std::vector<const StoreEntry*> members);
 
 using PartitionMap =
     std::map<uint64_t, std::shared_ptr<const IndexPartition>>;
 
-/// Groups a snapshot's entries (ascending by id) into partitions.
+/// Groups a snapshot's entries (its chunks, ascending by id) into
+/// partitions.
 PartitionMap BuildPartitionMap(
-    const std::vector<std::shared_ptr<const StoreEntry>>& entries);
+    const std::vector<std::shared_ptr<const StoreChunk>>& chunks);
 
-/// Copy-on-write update: untouched partitions are shared with `base`,
-/// touched ones are rebuilt from their surviving + added members.
-PartitionMap ApplyPartitionDiff(
-    const PartitionMap& base,
-    const std::vector<std::shared_ptr<const StoreEntry>>& added,
-    const std::vector<std::shared_ptr<const StoreEntry>>& removed);
+/// Copy-on-write update: untouched partitions are shared with `base`;
+/// each touched one is patched, not rebuilt: its members are spliced,
+/// its posting counts and WL prefixes filtered, renumbered and extended,
+/// and its degree envelope recomputed only where a removed member lay
+/// on it. A patched partition equals BuildPartition over the same
+/// members. Costs O(touched partitions' postings), not O(corpus); only
+/// the added and removed entries are dereferenced. `removed` names
+/// members by id.
+PartitionMap ApplyPartitionDiff(const PartitionMap& base,
+                                const std::vector<const StoreEntry*>& added,
+                                const std::vector<const StoreEntry*>& removed);
 
 /// Level 1: appends partitions that survive the signature and degree
 /// envelope screens to `opened`; accounts pruned members in `stats`.

@@ -85,6 +85,12 @@ bool WriteBenchJson(const BenchReport& report, const std::string& path,
                  report.index_candidate_fraction,
                  report.index_partition_prune_fraction,
                  report.index_label_prune_fraction);
+  if (report.has_churn)
+    std::fprintf(f,
+                 ",\n  \"churn\": {\"insert_ms_p50\": %.4f, "
+                 "\"erase_ms_p50\": %.4f, \"view_ms_p50\": %.4f}",
+                 report.churn_insert_ms_p50, report.churn_erase_ms_p50,
+                 report.churn_view_ms_p50);
   std::fprintf(f, "\n}\n");
   const bool ok = std::fclose(f) == 0;
   if (!ok && error) *error = "write to " + path + " failed";

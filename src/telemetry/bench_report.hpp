@@ -28,7 +28,7 @@
 ///     "cache_hit_rate": number  bound-cache hits / candidate pairs
 ///   }
 ///
-/// Two optional sections (emitted when the producing bench measured
+/// Three optional sections (emitted when the producing bench measured
 /// them; validated when present):
 ///
 ///   "cache": {            warm-cache methodology of the SLO phase
@@ -42,6 +42,12 @@
 ///     "partition_prune_fraction": number  graphs dismissed per level,
 ///     "label_prune_fraction":     number  as a fraction of all
 ///                                          (query, graph) pairs
+///   }
+///   "churn": {            streamed writes against a serving store
+///     "insert_ms_p50": number  median GraphStore::Insert latency
+///     "erase_ms_p50":  number  median GraphStore::Erase latency
+///     "view_ms_p50":   number  median GraphIndex::ViewFor latency after
+///                              a cycle's writes
 ///   }
 #ifndef OTGED_TELEMETRY_BENCH_REPORT_HPP_
 #define OTGED_TELEMETRY_BENCH_REPORT_HPP_
@@ -80,6 +86,13 @@ struct BenchReport {
   double index_candidate_fraction = 0.0;
   double index_partition_prune_fraction = 0.0;
   double index_label_prune_fraction = 0.0;
+
+  /// Optional streamed-churn section (`"churn"` in the JSON); emitted
+  /// when `has_churn` is set.
+  bool has_churn = false;
+  double churn_insert_ms_p50 = 0.0;
+  double churn_erase_ms_p50 = 0.0;
+  double churn_view_ms_p50 = 0.0;
 };
 
 /// The current git revision: $GITHUB_SHA if set, else `git rev-parse

@@ -1,6 +1,7 @@
 /// \file search_dynamic_test.cpp
 /// \brief Dynamic GraphStore semantics: stable ids, snapshot isolation,
-/// the erase log, Restore validation, the bound cache — and a
+/// the erase log, Restore validation, chunked snapshots against a plain
+/// vector model, the bound cache — and a
 /// linearizability-style hammer test interleaving insert/erase with
 /// range queries, asserting every result is exact for the consistent
 /// corpus its reported epoch names. The hammer test is written to be
@@ -8,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -133,6 +135,142 @@ TEST(DynamicGraphStoreTest, RestoreRejectsNonIncreasingIds) {
   // The old corpus' ids were logged so caches can drop them.
   size_t cursor = 0;
   EXPECT_EQ(store.ErasedSince(&cursor), (std::vector<int>{0}));
+}
+
+/// The store's id -> graph contents as a plain vector: (id, index into
+/// the graph pool), ascending by id.
+using StoreModel = std::vector<std::pair<int, int>>;
+
+void ExpectSnapshotMatches(const StoreSnapshot& snap, const StoreModel& model,
+                           const std::vector<Graph>& pool, int next_id,
+                           Rng* rng) {
+  ASSERT_EQ(snap.Size(), static_cast<int>(model.size()));
+  for (int slot = 0; slot < snap.Size(); ++slot) {
+    const auto& [id, g] = model[static_cast<size_t>(slot)];
+    ASSERT_EQ(snap.id(slot), id) << "slot " << slot;
+    ASSERT_EQ(snap.SlotOf(id), slot) << "id " << id;
+    ASSERT_TRUE(snap.graph(slot) == pool[static_cast<size_t>(g)])
+        << "slot " << slot;
+  }
+  // Chunks are never empty nor over-full, and two neighbours never fit
+  // in one chunk, which bounds the chunk count however the erases fall.
+  size_t held = 0;
+  for (size_t c = 0; c < snap.chunks().size(); ++c) {
+    ASSERT_FALSE(snap.chunks()[c]->empty()) << "chunk " << c;
+    ASSERT_LE(snap.chunks()[c]->size(), static_cast<size_t>(kStoreChunkSize))
+        << "chunk " << c;
+    held += snap.chunks()[c]->size();
+    if (c > 0) {
+      ASSERT_GT(snap.chunks()[c - 1]->size() + snap.chunks()[c]->size(),
+                static_cast<size_t>(kStoreChunkSize))
+          << "chunks " << c - 1 << ", " << c;
+    }
+  }
+  ASSERT_EQ(held, model.size());
+  for (int probe = 0; probe < 32; ++probe) {
+    const int id = rng->UniformInt(-2, next_id + 2);
+    const auto it = std::lower_bound(
+        model.begin(), model.end(), std::make_pair(id, INT_MIN));
+    if (it == model.end() || it->first != id) {
+      ASSERT_EQ(snap.SlotOf(id), -1) << "absent id " << id;
+    }
+  }
+}
+
+TEST(DynamicGraphStoreTest, ChunkedSnapshotsMatchAVectorModel) {
+  // A seeded mix of every mutation, mirrored on a plain vector; each
+  // published snapshot must agree with the vector slot by slot.
+  Rng rng(23);
+  std::vector<Graph> pool;
+  for (int i = 0; i < 64; ++i) pool.push_back(AidsLikeGraph(&rng, 2, 6));
+  const auto pick = [&] { return rng.UniformInt(0, 63); };
+
+  GraphStore store;
+  StoreModel model;
+  int next_id = 0;
+  const auto add_all = [&](int n) {
+    std::vector<Graph> batch;
+    for (int i = 0; i < n; ++i) {
+      const int g = pick();
+      batch.push_back(pool[static_cast<size_t>(g)]);
+      model.emplace_back(next_id++, g);
+    }
+    store.AddAll(batch);
+  };
+  add_all(3 * kStoreChunkSize + 17);
+  auto pinned = store.Snapshot();
+  const StoreModel pinned_model = model;
+  const int pinned_next_id = next_id;
+
+  int writes = 0;
+  for (int step = 0; step < 1000; ++step) {
+    const double op = rng.Uniform();
+    if (op < 0.44) {
+      const int g = pick();
+      ASSERT_EQ(store.Insert(pool[static_cast<size_t>(g)]), next_id);
+      model.emplace_back(next_id++, g);
+      ++writes;
+    } else if (op < 0.93 && !model.empty()) {
+      const auto victim = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int>(model.size()) - 1));
+      ASSERT_TRUE(store.Erase(model[victim].first));
+      model.erase(model.begin() + static_cast<long>(victim));
+      ++writes;
+    } else if (op < 0.945) {
+      const int missing = next_id + rng.UniformInt(0, 5);
+      ASSERT_FALSE(store.Erase(missing));
+    } else if (op < 0.95 && !model.empty()) {
+      // Erasing every other graph of a run, in random order, drains
+      // neighbouring chunks until they merge.
+      const auto first = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int>(model.size()) - 1));
+      const size_t last = std::min(model.size(), first + 2 * kStoreChunkSize);
+      std::vector<int> doomed;
+      for (size_t i = first; i < last; i += 2) doomed.push_back(model[i].first);
+      for (size_t i = doomed.size(); i > 1; --i)
+        std::swap(doomed[i - 1], doomed[static_cast<size_t>(rng.UniformInt(
+                                     0, static_cast<int>(i) - 1))]);
+      for (int id : doomed) ASSERT_TRUE(store.Erase(id));
+      writes += static_cast<int>(doomed.size());
+      for (size_t i = first, kept = first; i < last; ++i)
+        if ((i - first) % 2 == 1) model[kept++] = model[i];
+      model.erase(model.begin() + static_cast<long>(first + (last - first) / 2),
+                  model.begin() + static_cast<long>(last));
+    } else if (op < 0.99) {
+      add_all(rng.UniformInt(1, kStoreChunkSize + 64));
+      ++writes;
+    } else {
+      // Keep every other graph, rebind a few ids to new graphs and move
+      // the id counter forward.
+      std::vector<std::pair<int, Graph>> entries;
+      StoreModel restored;
+      for (size_t i = 0; i < model.size(); i += 2) {
+        const int g = rng.Bernoulli(0.1) ? pick() : model[i].second;
+        entries.emplace_back(model[i].first, pool[static_cast<size_t>(g)]);
+        restored.emplace_back(model[i].first, g);
+      }
+      const int counter = next_id + rng.UniformInt(0, 3);
+      ASSERT_TRUE(store.Restore(std::move(entries), counter));
+      model = std::move(restored);
+      next_id = counter;
+      ++writes;
+    }
+    ASSERT_EQ(store.NextId(), next_id);
+    ExpectSnapshotMatches(*store.Snapshot(), model, pool, next_id, &rng);
+    if (HasFatalFailure()) return;
+  }
+  // Erase down to an empty store, then grow it again.
+  for (const auto& [id, g] : model) ASSERT_TRUE(store.Erase(id));
+  model.clear();
+  ExpectSnapshotMatches(*store.Snapshot(), model, pool, next_id, &rng);
+  EXPECT_TRUE(store.Snapshot()->chunks().empty());
+  ASSERT_EQ(store.Insert(pool[0]), next_id);
+  model.emplace_back(next_id++, 0);
+  ExpectSnapshotMatches(*store.Snapshot(), model, pool, next_id, &rng);
+
+  // Over 1,000 writes later the early snapshot still reads as it did.
+  ASSERT_GE(writes, 1000);
+  ExpectSnapshotMatches(*pinned, pinned_model, pool, pinned_next_id, &rng);
 }
 
 TEST(BoundCacheTest, InsertLookupEraseAndEvict) {

@@ -99,36 +99,197 @@ TEST(GraphIndexTest, RangeCandidatesAreASupersetOfTheLbRange) {
   }
 }
 
+/// Both views must hand out the same candidates with the same counts
+/// for a handful of fresh queries.
+void ExpectSameCandidates(const IndexView& got, const IndexView& want,
+                          Rng* rng, const std::string& step) {
+  ASSERT_EQ(got.epoch(), want.epoch()) << step;
+  ASSERT_EQ(got.Size(), want.Size()) << step;
+  for (int q = 0; q < 3; ++q) {
+    const GraphInvariants qi =
+        ComputeInvariants(AidsLikeGraph(rng, 3, 10));
+    for (int tau : {0, 1, 2}) {
+      std::vector<int> a, b;
+      IndexStats sa, sb;
+      got.RangeCandidates(qi, tau, &a, &sa);
+      want.RangeCandidates(qi, tau, &b, &sb);
+      EXPECT_EQ(a, b) << step << " tau " << tau;
+      EXPECT_EQ(sa.scanned, sb.scanned) << step << " tau " << tau;
+      EXPECT_EQ(sa.partition_pruned, sb.partition_pruned) << step;
+      EXPECT_EQ(sa.label_pruned, sb.label_pruned) << step;
+      EXPECT_EQ(sa.partitions_seen, sb.partitions_seen) << step;
+      EXPECT_EQ(sa.partitions_opened, sb.partitions_opened) << step;
+      EXPECT_EQ(sa.candidates, sb.candidates) << step;
+    }
+  }
+}
+
 TEST(GraphIndexTest, IncrementalAdvanceMatchesFreshRebuild) {
   Rng rng(59);
   GraphStore store;
-  store.AddAll(RandomCorpus(80, &rng));
+  store.AddAll(RandomCorpus(3 * kStoreChunkSize + 100, &rng));
   GraphIndex incremental;
   (void)incremental.ViewFor(store.Snapshot());  // prime the cached view
 
-  // Random churn: the incremental index advances by diffing snapshots;
-  // after every mutation its candidate sets must equal a from-scratch
-  // index built on the same snapshot.
-  std::vector<Graph> extras = RandomCorpus(30, &rng);
-  for (int round = 0; round < 30; ++round) {
-    if (round % 3 != 0) {
-      store.Insert(extras[static_cast<size_t>(round) % extras.size()]);
-    } else {
-      (void)store.Erase(rng.UniformInt(0, store.NextId() - 1));
-    }
-    auto snap = store.Snapshot();
-    auto view = incremental.ViewFor(snap);
+  // After every step the incremental index (which advances by diffing
+  // the chunks its cached snapshot does not share with the new one) must
+  // equal a from-scratch index built on the same snapshot.
+  const auto check = [&](const std::shared_ptr<const StoreSnapshot>& snap,
+                         const std::string& step) {
     GraphIndex fresh;
-    auto fresh_view = fresh.ViewFor(snap);
-    const GraphInvariants qi =
-        ComputeInvariants(AidsLikeGraph(&rng, 3, 10));
-    for (int tau : {0, 2}) {
-      std::vector<int> a, b;
-      IndexStats sa, sb;
-      view->RangeCandidates(qi, tau, &a, &sa);
-      fresh_view->RangeCandidates(qi, tau, &b, &sb);
-      EXPECT_EQ(a, b) << "round " << round << " tau " << tau;
+    ExpectSameCandidates(*incremental.ViewFor(snap), *fresh.ViewFor(snap),
+                         &rng, step);
+  };
+  std::vector<Graph> extras = RandomCorpus(30, &rng);
+  const auto churn = [&](int rounds, const std::string& phase) {
+    for (int round = 0; round < rounds; ++round) {
+      if (round % 3 != 0) {
+        store.Insert(extras[static_cast<size_t>(round) % extras.size()]);
+      } else {
+        (void)store.Erase(rng.UniformInt(0, store.NextId() - 1));
+      }
+      check(store.Snapshot(), phase + " round " + std::to_string(round));
     }
+  };
+  churn(30, "churn");
+
+  // Backward diff: an older pinned snapshot after newer ones.
+  auto pinned = store.Snapshot();
+  churn(6, "after pin");
+  check(pinned, "older pinned snapshot");
+  check(store.Snapshot(), "forward again");
+
+  store.AddAll(RandomCorpus(kStoreChunkSize + 37, &rng));
+  check(store.Snapshot(), "AddAll over one chunk");
+
+  {
+    auto snap = store.Snapshot();
+    ASSERT_GE(snap->chunks().size(), 3u);
+    std::vector<int> ids;
+    for (const auto& e : *snap->chunks()[1]) ids.push_back(e->id);
+    for (int id : ids) ASSERT_TRUE(store.Erase(id));
+  }
+  check(store.Snapshot(), "one chunk erased");
+
+  std::vector<std::pair<int, Graph>> entries;
+  {
+    auto snap = store.Snapshot();
+    for (int slot = 0; slot < snap->Size(); slot += 2)
+      entries.emplace_back(snap->id(slot), snap->graph(slot));
+  }
+  ASSERT_TRUE(store.Restore(std::move(entries), store.NextId()));
+  check(store.Snapshot(), "Restore");
+  churn(9, "after Restore");
+}
+
+/// Field-by-field equality of two partitions, members by pointer.
+void ExpectSamePartition(const IndexPartition& got,
+                         const IndexPartition& want) {
+  EXPECT_EQ(got.num_nodes, want.num_nodes);
+  EXPECT_EQ(got.num_edges, want.num_edges);
+  EXPECT_EQ(got.members, want.members);
+  ASSERT_EQ(got.postings.size(), want.postings.size());
+  for (size_t p = 0; p < got.postings.size(); ++p) {
+    EXPECT_EQ(got.postings[p].label, want.postings[p].label);
+    EXPECT_EQ(got.postings[p].counts, want.postings[p].counts);
+  }
+  EXPECT_EQ(got.degree_min, want.degree_min);
+  EXPECT_EQ(got.degree_max, want.degree_max);
+  EXPECT_EQ(got.wl_prefixes, want.wl_prefixes);
+}
+
+TEST(GraphIndexTest, PatchedPartitionsEqualRebuiltOnes) {
+  // Small graphs crowd few (n, m) signatures, so partitions are large
+  // and a random diff touches most of them.
+  Rng rng(61);
+  std::vector<std::shared_ptr<const StoreEntry>> all;
+  for (int id = 0; id < 900; ++id) {
+    auto e = std::make_shared<StoreEntry>();
+    e->id = id;
+    e->graph = AidsLikeGraph(&rng, 3, 6);
+    e->invariants = ComputeInvariants(e->graph);
+    all.push_back(std::move(e));
+  }
+  // The base holds the even ids below 600. The diff adds odd ids among
+  // them (as a backward diff does) and ids past them (as inserts do). It
+  // removes a random third of the base; every member of the smallest
+  // partition, which gets no adds and so must vanish; and every member of
+  // the largest partition that holds its degree envelope's minimum at
+  // position jmin or its maximum at position jmax (positions where some
+  // but not all members do), so that envelope must narrow.
+  StoreChunk base;
+  for (size_t id = 0; id < 600; id += 2) base.push_back(all[id]);
+  const PartitionMap base_map =
+      BuildPartitionMap({std::make_shared<StoreChunk>(base)});
+  const IndexPartition *smallest = nullptr, *largest = nullptr;
+  for (const auto& [key, part] : base_map) {
+    if (smallest == nullptr ||
+        part->members.size() < smallest->members.size())
+      smallest = part.get();
+    if (largest == nullptr || part->members.size() > largest->members.size())
+      largest = part.get();
+  }
+  const auto key_of = [](const std::shared_ptr<const StoreEntry>& e) {
+    return PartitionKey(e->invariants.num_nodes, e->invariants.num_edges);
+  };
+  const uint64_t gone = PartitionKey(smallest->num_nodes, smallest->num_edges);
+  const uint64_t narrowed =
+      PartitionKey(largest->num_nodes, largest->num_edges);
+  const auto holders = [&](size_t j, bool at_min) {
+    size_t count = 0;
+    for (const StoreEntry* m : largest->members)
+      count += m->invariants.sorted_degrees[j] ==
+               (at_min ? largest->degree_min[j] : largest->degree_max[j]);
+    return count;
+  };
+  // The first such position for the minimum, the last for the maximum.
+  const auto partly_held = [&](bool at_min) {
+    const size_t n = largest->degree_min.size();
+    for (size_t k = 0; k < n; ++k) {
+      const size_t j = at_min ? k : n - 1 - k;
+      const size_t count = holders(j, at_min);
+      if (count > 0 && count < largest->members.size()) return j;
+    }
+    return n;
+  };
+  const size_t jmin = partly_held(true), jmax = partly_held(false);
+  ASSERT_LT(jmin, largest->degree_min.size());
+  ASSERT_LT(jmax, largest->degree_max.size());
+  const auto on_edge = [&](const std::shared_ptr<const StoreEntry>& e) {
+    const auto& deg = e->invariants.sorted_degrees;
+    return key_of(e) == narrowed && (deg[jmin] == largest->degree_min[jmin] ||
+                                     deg[jmax] == largest->degree_max[jmax]);
+  };
+  std::vector<const StoreEntry*> added, removed;
+  StoreChunk after;  // the members the patched partitions must hold
+  for (size_t id = 1; id < 900; id += id < 600 ? 6 : 1) {
+    if (key_of(all[id]) == gone || key_of(all[id]) == narrowed) continue;
+    added.push_back(all[id].get());
+    after.push_back(all[id]);
+  }
+  for (const auto& e : base) {
+    if (key_of(e) == gone || on_edge(e) || rng.Bernoulli(1.0 / 3)) {
+      removed.push_back(e.get());
+    } else {
+      after.push_back(e);
+    }
+  }
+
+  const PartitionMap patched = ApplyPartitionDiff(base_map, added, removed);
+  ASSERT_EQ(patched.count(narrowed), 1u);
+  const IndexPartition& slim = *patched.at(narrowed);
+  EXPECT_GT(slim.degree_min[jmin], largest->degree_min[jmin]);
+  EXPECT_LT(slim.degree_max[jmax], largest->degree_max[jmax]);
+  std::sort(after.begin(), after.end(),
+            [](const auto& a, const auto& b) { return a->id < b->id; });
+  const PartitionMap rebuilt =
+      BuildPartitionMap({std::make_shared<StoreChunk>(after)});
+  EXPECT_EQ(patched.count(gone), 0u);
+  ASSERT_EQ(patched.size(), rebuilt.size());
+  for (const auto& [key, part] : rebuilt) {
+    auto it = patched.find(key);
+    ASSERT_NE(it, patched.end()) << key;
+    ExpectSamePartition(*it->second, *part);
   }
 }
 

@@ -3,7 +3,8 @@
 /// log-linear histogram bucket geometry and percentile accuracy, registry
 /// snapshot/reset, the TraceSink ring, exporter output — and end-to-end
 /// reconciliation: the global cascade counters must agree exactly with
-/// the per-query CascadeStats the engine returns on a randomized corpus.
+/// the per-query CascadeStats the engine returns on a randomized corpus,
+/// and the index view histogram counts each advance and build once.
 /// The concurrency tests are written to be clean under ThreadSanitizer.
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "graph/generator.hpp"
+#include "search/index/graph_index.hpp"
 #include "search/query_engine.hpp"
 #include "telemetry/bench_report.hpp"
 #include "telemetry/export.hpp"
@@ -297,6 +299,49 @@ TEST(TelemetryEndToEndTest, CascadeCountersReconcileWithQueryStats) {
     EXPECT_EQ(after.CounterValue(nf.counter) - before.CounterValue(nf.counter),
               total.*nf.field)
         << nf.counter;
+}
+
+/// Samples recorded so far in the histogram of that full name (0 before
+/// its first use).
+long HistogramCount(const telemetry::MetricsSnapshot& snap,
+                    const std::string& name) {
+  for (const auto& named : snap.histograms)
+    if (named.name == name) return named.hist.count;
+  return 0;
+}
+
+TEST(TelemetryEndToEndTest, IndexViewLatencyIsRecordedPerAdvanceOrBuild) {
+  telemetry::SetEnabled(true);
+  Rng rng(99);
+  GraphStore store;
+  std::vector<Graph> graphs;
+  for (int i = 0; i < 2 * kStoreChunkSize; ++i)
+    graphs.push_back(AidsLikeGraph(&rng, 3, 8));
+  store.AddAll(graphs);
+  GraphIndex index;
+  const std::string advance = "otged_index_view_latency_us{kind=\"advance\"}";
+  const std::string build = "otged_index_view_latency_us{kind=\"build\"}";
+
+  telemetry::MetricsSnapshot before = telemetry::Registry().Snapshot();
+  (void)index.ViewFor(store.Snapshot());  // first view: build
+  (void)index.ViewFor(store.Snapshot());  // cached: nothing recorded
+  store.Insert(AidsLikeGraph(&rng, 3, 8));
+  (void)index.ViewFor(store.Snapshot());  // advance
+  ASSERT_TRUE(store.Erase(3));
+  (void)index.ViewFor(store.Snapshot());  // advance
+  std::vector<std::pair<int, Graph>> entries;
+  {
+    auto snap = store.Snapshot();
+    for (int slot = 0; slot < snap->Size(); ++slot)
+      entries.emplace_back(snap->id(slot), snap->graph(slot));
+  }
+  ASSERT_TRUE(store.Restore(std::move(entries), store.NextId()));
+  (void)index.ViewFor(store.Snapshot());  // shares no chunk: build
+  telemetry::MetricsSnapshot after = telemetry::Registry().Snapshot();
+
+  EXPECT_EQ(HistogramCount(after, build) - HistogramCount(before, build), 2);
+  EXPECT_EQ(HistogramCount(after, advance) - HistogramCount(before, advance),
+            2);
 }
 
 TEST(TelemetryEndToEndTest, TraceEventsMatchCandidateDecisions) {

@@ -5,8 +5,9 @@ Schema source of truth: src/telemetry/bench_report.hpp. Used by the CI
 bench-smoke job; exits nonzero with a per-violation message on failure.
 
 Validates any BENCH_*.json record sharing that schema, including
-BENCH_scale.json (which carries the optional "index" section) and
-BENCH_search.json (which carries the optional "cache" section).
+BENCH_scale.json (which carries the optional "index" and "churn"
+sections) and BENCH_search.json (which carries the optional "cache"
+section).
 
 Records carrying a top-level "kernels" key (BENCH_kernels.json, written
 by bench_micro_kernels) use the kernel schema instead: "bench",
@@ -208,6 +209,17 @@ def validate(doc, problems):
                     err(f"index.{key} {val} outside [0, 1]", problems)
             for extra in sorted(set(index) - set(keys)):
                 err(f"index has unknown key {extra!r}", problems)
+
+    if "churn" in doc:
+        churn = require(doc, "churn", dict, problems)
+        if churn is not None:
+            keys = ("insert_ms_p50", "erase_ms_p50", "view_ms_p50")
+            for key in keys:
+                val = require(churn, key, (int, float), problems)
+                if val is not None and val < 0:
+                    err(f"churn.{key} {val} is negative", problems)
+            for extra in sorted(set(churn) - set(keys)):
+                err(f"churn has unknown key {extra!r}", problems)
 
 
 def kernel_map(doc):
