@@ -4,8 +4,8 @@
 /// The cache only stores distances the cascade *proved exact* — an
 /// admissible lower bound meeting a feasible upper bound, or a completed
 /// branch-and-bound run. Exact GED is a pure function of the graph pair,
-/// so a hit is correct for any tau and any need_distance mode, and cache
-/// contents never depend on the order or thresholds of past queries;
+/// so a hit is correct for any tau (a range read's or a top-k level's),
+/// and cache contents never depend on the order or thresholds of past queries;
 /// warm-cache serving therefore stays deterministic. Keys pair the query
 /// graph's content fingerprint with the stored graph's stable id; ids are
 /// never reused, so a stale entry can never alias a different graph —

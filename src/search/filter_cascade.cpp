@@ -95,13 +95,11 @@ const CascadeMetrics& Metrics() {
 }  // namespace
 #endif  // OTGED_TELEMETRY_COMPILED
 
-CascadeVerdict FilterCascade::BoundedDistance(const Graph& query,
-                                              const GraphInvariants& qi,
-                                              const Graph& g,
-                                              const GraphInvariants& gi,
-                                              int tau, bool need_distance,
-                                              CascadeStats* stats,
-                                              CascadeProbe* probe) const {
+CascadeVerdict FilterCascade::BoundedDistance(
+    const Graph& query, const GraphInvariants& qi, const Graph& g,
+    const GraphInvariants& gi, int tau, [[maybe_unused]] bool need_distance,
+    CascadeStats* stats, CascadeProbe* probe) const {
+  OTGED_DCHECK(!need_distance);
   OTGED_DCHECK(stats != nullptr);
   stats->candidates++;
 #if OTGED_TELEMETRY_COMPILED
@@ -122,7 +120,8 @@ CascadeVerdict FilterCascade::BoundedDistance(const Graph& query,
   };
   int best_lb = -1, best_ub = -1;
   long exact_expansions = 0;
-  auto finish = [&](const CascadeVerdict& v) {
+  auto finish = [&](CascadeVerdict v) {
+    v.lb = best_lb;
     if (probe != nullptr) {
       probe->lb = best_lb;
       probe->ub = best_ub;
@@ -209,7 +208,7 @@ CascadeVerdict FilterCascade::BoundedDistance(const Graph& query,
     mark(CascadeTier::kHeuristic);
     return finish(v);
   }
-  if (!need_distance && ub <= tau) {
+  if (ub <= tau) {
     // The feasible edit path already witnesses membership.
     stats->decided_heuristic++;
 #if OTGED_TELEMETRY_COMPILED
@@ -224,9 +223,8 @@ CascadeVerdict FilterCascade::BoundedDistance(const Graph& query,
   mark(CascadeTier::kHeuristic);
 
   // --- tier 4: exact verify (branch and bound) ------------------------
-  // Seeded with the tier-2 UB. A range read only asks whether GED <= tau,
-  // so it also thresholds the search at tau (here tau < ub); top-k needs
-  // the distance itself and searches up to the UB.
+  // Seeded with the tier-2 UB and thresholded at tau (here tau < ub): the
+  // question is only whether GED <= tau.
   stats->exact_calls++;
 #if OTGED_TELEMETRY_COMPILED
   if (metered) {
@@ -234,8 +232,7 @@ CascadeVerdict FilterCascade::BoundedDistance(const Graph& query,
     Metrics().exact_calls->Inc();
   }
 #endif
-  GedSearchResult exact = ExactSearch(*g1, *g2, opt_.exact_budget, ub,
-                                      need_distance ? -1 : tau);
+  GedSearchResult exact = ExactSearch(*g1, *g2, opt_.exact_budget, ub, tau);
   exact_expansions = exact.expansions;
   stats->decided_exact++;
 #if OTGED_TELEMETRY_COMPILED
@@ -249,7 +246,9 @@ CascadeVerdict FilterCascade::BoundedDistance(const Graph& query,
     mark(CascadeTier::kExact);
     return finish(v);
   }
-  if (!exact.exact) {
+  if (exact.exact) {
+    best_lb = exact.ged;
+  } else {
     stats->exact_incomplete++;
 #if OTGED_TELEMETRY_COMPILED
     if (metered) Metrics().exact_incomplete->Inc();

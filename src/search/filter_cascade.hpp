@@ -12,9 +12,9 @@
 ///                                          bound; LB == UB certifies
 ///   tier 4  exact verify        exp(n)     branch-and-bound with an
 ///                                          anchor-aware bound, seeded
-///                                          with the tier-2 upper bound;
-///                                          range reads threshold it at
-///                                          tau (an exhausted tree proves
+///                                          with the tier-2 upper bound
+///                                          and thresholded at tau (an
+///                                          exhausted tree proves
 ///                                          GED > tau)
 ///   (no tier 3: an OT upper bound cost more than the exact search it fed)
 ///
@@ -100,6 +100,10 @@ struct CascadeVerdict {
   int ged = -1;         ///< best distance known (-1 if dismissed by a bound)
   bool exact_distance = false;  ///< `ged` is provably the exact GED
   CascadeTier tier = CascadeTier::kInvariant;  ///< deciding tier
+  /// Best proven lower bound on GED(q, g): above tau for a dismissal
+  /// (tau + 1 when tier 4 exhausted its tree), equal to `ged` whenever
+  /// `exact_distance`.
+  int lb = -1;
 };
 
 /// Stateless (after construction) decision procedure over graph pairs;
@@ -113,11 +117,10 @@ class FilterCascade {
   explicit FilterCascade(const CascadeOptions& opt = {});
 
   /// Decides whether GED(query, g) <= tau, escalating only as far as
-  /// needed. With `need_distance`, membership alone never settles a
-  /// candidate: the cascade continues (through the exact tier if the
-  /// bounds disagree) until `ged` is the exact distance — top-k ranking
-  /// needs this; range queries do not. `qi` must be
-  /// ComputeInvariants(query) and `gi` ComputeInvariants(g).
+  /// needed; range reads and every level of a deepening top-k read call
+  /// it the same way. `need_distance` must be false; it stays in the
+  /// signature only for gedbench/src/main.cpp, which passes false. `qi`
+  /// must be ComputeInvariants(query) and `gi` ComputeInvariants(g).
   CascadeVerdict BoundedDistance(const Graph& query,
                                  const GraphInvariants& qi, const Graph& g,
                                  const GraphInvariants& gi, int tau,
@@ -126,8 +129,7 @@ class FilterCascade {
 
   const CascadeOptions& options() const { return opt_; }
 
-  /// Tier-4 exact-search entry point, shared by BoundedDistance and the
-  /// QueryEngine's top-k seed refinement: the sequential
+  /// Tier-4 exact-search entry point of BoundedDistance: the sequential
   /// branch-and-bound, seeded with `initial_upper_bound` (a feasible
   /// bound, or -1), thresholded at `threshold` (-1: none; see
   /// BnbOptions) and capped at `budget` expansions. `ged` never exceeds

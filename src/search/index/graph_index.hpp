@@ -16,8 +16,8 @@
 ///                               are dismissed wholesale (at tau == 0 a
 ///                               WL-hash prefix table is used instead)
 ///
-/// Top-k does not use the index: it ranks the whole snapshot by
-/// InvariantLowerBound (see query_engine.hpp).
+/// Top-k reads use it too: each level of a deepening top-k read is a
+/// range candidate read at that level (see query_engine.hpp).
 ///
 /// Consistency model: an IndexView is immutable and tied to one store
 /// snapshot, which it holds. GraphIndex caches the view for the most
@@ -45,9 +45,9 @@
 
 namespace otged {
 
-/// The index has no settable options (the tau == 0 prefix width is
-/// kWlPrefixBits). The empty struct stays because gedbench still builds
-/// a GraphIndex from EngineOptions::index.
+/// Must stay empty: the index has no settable options (the tau == 0
+/// prefix width is kWlPrefixBits). Kept only because gedbench still
+/// builds a GraphIndex from EngineOptions::index.
 struct IndexOptions {};
 
 /// The index at one store epoch. Immutable; safe to share across

@@ -5,13 +5,13 @@
 
 namespace otged {
 
-/// What the index did for one range query (or, after Merge, a batch).
+/// What the index did for one range query (after Merge: a batch, or the
+/// levels of a top-k read).
 /// Pruning is attributed to the *first* level that dismissed a graph:
 /// partition screening (size signature / degree envelope) or the label
 /// posting walk (including the WL-hash table at tau == 0). `scanned`
 /// counts every graph in the pinned snapshot, so
-/// `scanned == candidates + PrunedTotal()` per query. Top-k never
-/// consults the index, so its stats stay all zero.
+/// `scanned == candidates + PrunedTotal()` per query.
 struct IndexStats {
   long scanned = 0;           ///< corpus size the query ran against
   long partition_pruned = 0;  ///< dismissed without opening the partition

@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "graph/graph_io.hpp"
-#include "heuristics/bipartite.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -39,6 +38,7 @@ uint64_t NextTraceIds(int n) {
 /// time the query's last pair completed. No atomics, no contention.
 class QueryWallClock {
  public:
+  QueryWallClock() = default;
   QueryWallClock(int workers, int nu,
                  std::chrono::steady_clock::time_point start)
       : start_(start), nu_(nu),
@@ -59,7 +59,7 @@ class QueryWallClock {
 
  private:
   std::chrono::steady_clock::time_point start_;
-  size_t nu_;
+  size_t nu_ = 0;
   std::vector<double> done_ms_;
 };
 
@@ -96,14 +96,50 @@ std::vector<int> DedupByFingerprint(const std::vector<const Graph*>& queries,
   return uniq;
 }
 
+/// Merges a top-k level's ascending candidate slots into a query's
+/// ascending (slot, proven lower bound) list. A newly admitted graph
+/// starts at `level`: the index dismissed it one level lower, which
+/// proves GED >= level. Slots admitted earlier keep their bound, also
+/// when the index does not return them again (its tau == 0 WL-prefix
+/// table can admit a graph that the label walk at tau 1 dismisses).
+void Admit(const std::vector<int>& cand, int level,
+           std::vector<std::pair<int, int>>* admitted) {
+  const std::vector<std::pair<int, int>> old = std::move(*admitted);
+  admitted->clear();
+  size_t a = 0;
+  for (const int slot : cand) {
+    while (a < old.size() && old[a].first < slot)
+      admitted->push_back(old[a++]);
+    if (a < old.size() && old[a].first == slot)
+      admitted->push_back(old[a++]);
+    else
+      admitted->emplace_back(slot, level);
+  }
+  admitted->insert(admitted->end(), old.begin() + static_cast<long>(a),
+                   old.end());
+}
+
 }  // namespace
 
+/// One serving call's set-up, shared by range and top-k: the pinned
+/// snapshot and its index view, the call's distinct queries with their
+/// contexts, and per-distinct-query clocks and statistics.
+struct QueryEngine::Call {
+  std::chrono::steady_clock::time_point start;
+  std::shared_ptr<const StoreSnapshot> snap;
+  std::shared_ptr<const IndexView> iview;  ///< null without an index
+  std::vector<const Graph*> queries;       ///< distinct queries
+  std::vector<int> uniq_of;                ///< call query -> distinct query
+  std::vector<QueryContext> ctx;
+  QueryWallClock wall_clock;
+  std::vector<CascadeStats> cascade;
+  std::vector<IndexStats> index;
+
+  int Size() const { return static_cast<int>(queries.size()); }
+};
+
 QueryEngine::QueryEngine(const GraphStore* store, const EngineOptions& opt)
-    : store_(store),
-      cascade_(opt.cascade),
-      use_cache_(opt.use_bound_cache),
-      topk_refine_budget_(opt.topk_seed_refine_budget),
-      topk_probes_(opt.topk_seed_probes) {
+    : store_(store), cascade_(opt.cascade), use_cache_(opt.use_bound_cache) {
   OTGED_CHECK(store_ != nullptr);
   if (opt.use_index) index_ = std::make_unique<GraphIndex>(opt.index);
   int threads = opt.num_threads;
@@ -134,8 +170,7 @@ std::shared_ptr<const StoreSnapshot> QueryEngine::PinSnapshot() const {
 CascadeVerdict QueryEngine::EvalPair(const Graph& query,
                                      const QueryContext& qc,
                                      const StoreSnapshot& snap, int slot,
-                                     int tau, bool need_distance,
-                                     CascadeStats* stats) const {
+                                     int tau, CascadeStats* stats) const {
   const int gid = snap.id(slot);
   const bool tracing =
       OTGED_TELEMETRY_ON() && telemetry::GlobalTrace().enabled();
@@ -156,6 +191,7 @@ CascadeVerdict QueryEngine::EvalPair(const Graph& query,
       v.ged = *ged;
       v.exact_distance = true;
       v.tier = CascadeTier::kCache;
+      v.lb = *ged;
       if (tracing) {
         telemetry::TraceEvent e;
         e.query_id = qc.trace_id;
@@ -174,7 +210,7 @@ CascadeVerdict QueryEngine::EvalPair(const Graph& query,
   CascadeProbe probe;
   CascadeVerdict v = cascade_.BoundedDistance(
       query, qc.qi, snap.graph(slot), snap.invariants(slot), tau,
-      need_distance, stats, tracing ? &probe : nullptr);
+      /*need_distance=*/false, stats, tracing ? &probe : nullptr);
   if (use_cache_ && v.exact_distance) cache_.Insert(qc.fp, gid, v.ged);
   if (tracing) {
     telemetry::TraceEvent e;
@@ -194,69 +230,120 @@ CascadeVerdict QueryEngine::EvalPair(const Graph& query,
   return v;
 }
 
-std::vector<RangeResult> QueryEngine::RangeBatchLocked(
-    const std::vector<const Graph*>& queries, int tau) const {
-  auto start = std::chrono::steady_clock::now();
-  auto snap = PinSnapshot();
-  const int n = snap->Size();
-  const int nq = static_cast<int>(queries.size());
-
-  std::vector<uint64_t> fp(nq);
-  for (int q = 0; q < nq; ++q) fp[q] = GraphContentFingerprint(*queries[q]);
-  std::vector<int> uniq_of;
-  const std::vector<int> uniq = DedupByFingerprint(queries, fp, &uniq_of);
+QueryEngine::Call QueryEngine::BeginCall(
+    const std::vector<const Graph*>& queries) const {
+  Call c;
+  c.start = std::chrono::steady_clock::now();
+  c.snap = PinSnapshot();
+  if (index_ != nullptr && c.snap->Size() > 0)
+    c.iview = index_->ViewFor(c.snap);
+  std::vector<uint64_t> fp(queries.size());
+  for (size_t q = 0; q < queries.size(); ++q)
+    fp[q] = GraphContentFingerprint(*queries[q]);
+  const std::vector<int> uniq = DedupByFingerprint(queries, fp, &c.uniq_of);
   const int nu = static_cast<int>(uniq.size());
-
   const uint64_t trace_base = NextTraceIds(nu);
-  std::vector<QueryContext> ctx(nu);
-  for (int u = 0; u < nu; ++u)
-    ctx[u] = {ComputeInvariants(*queries[uniq[u]]), fp[uniq[u]],
-              trace_base + static_cast<uint64_t>(u)};
-
-  QueryWallClock wall_clock(pool_->num_threads(), nu, start);
-
-  // Candidate generation: the index's partition/label levels, or every
-  // slot when running without an index. Index pruning is by admissible
-  // bounds only, so the surviving set is a superset of the true hits and
-  // the cascade's own tier 0 re-screens each survivor — results are
-  // byte-identical either way.
-  std::shared_ptr<const IndexView> iview;
-  if (index_ != nullptr && n > 0) iview = index_->ViewFor(snap);
-  std::vector<std::vector<int>> cand(nu);  ///< slots, ascending
-  std::vector<IndexStats> istats(nu);
-  if (iview != nullptr) {
-    pool_->ParallelFor(nu, /*grain=*/1, [&](int64_t u, int worker) {
-      std::vector<int> ids;
-      iview->RangeCandidates(ctx[u].qi, tau, &ids, &istats[u]);
-      cand[u].reserve(ids.size());
-      for (const int id : ids) cand[u].push_back(snap->SlotOf(id));
-      wall_clock.MarkDone(worker, static_cast<int>(u));
-    });
-  } else {
-    for (int u = 0; u < nu; ++u) {
-      cand[u].resize(static_cast<size_t>(n));
-      std::iota(cand[u].begin(), cand[u].end(), 0);
-    }
+  for (int u = 0; u < nu; ++u) {
+    c.queries.push_back(queries[uniq[u]]);
+    c.ctx.push_back({ComputeInvariants(*queries[uniq[u]]), fp[uniq[u]],
+                     trace_base + static_cast<uint64_t>(u)});
   }
-  std::vector<std::pair<int, int>> tasks;  ///< (unique query, slot)
-  for (int u = 0; u < nu; ++u)
-    for (const int slot : cand[u]) tasks.emplace_back(u, slot);
+  c.wall_clock = QueryWallClock(pool_->num_threads(), nu, c.start);
+  c.cascade.resize(nu);
+  c.index.resize(nu);
+  return c;
+}
 
+std::vector<std::vector<int>> QueryEngine::Candidates(
+    Call* c, const std::vector<int>& us, const std::vector<int>& tau) const {
+  // Index pruning is by admissible bounds only, so the surviving set is a
+  // superset of the true hits and the cascade's own tier 0 re-screens
+  // each survivor — results are byte-identical with or without it.
+  std::vector<std::vector<int>> cand(us.size());
+  if (c->iview == nullptr) {
+    for (std::vector<int>& slots : cand) {
+      slots.resize(static_cast<size_t>(c->snap->Size()));
+      std::iota(slots.begin(), slots.end(), 0);
+    }
+    return cand;
+  }
+  pool_->ParallelFor(static_cast<int64_t>(us.size()), /*grain=*/1,
+                     [&](int64_t i, int worker) {
+                       const int u = us[i];
+                       std::vector<int> ids;
+                       // Fresh stats per read: RangeCandidates mirrors
+                       // their totals into the global counters.
+                       IndexStats read;
+                       c->iview->RangeCandidates(c->ctx[u].qi, tau[u], &ids,
+                                                 &read);
+                       c->index[u].Merge(read);
+                       cand[i].reserve(ids.size());
+                       for (const int id : ids)
+                         cand[i].push_back(c->snap->SlotOf(id));
+                       c->wall_clock.MarkDone(worker, u);
+                     });
+  return cand;
+}
+
+std::vector<CascadeVerdict> QueryEngine::EvalPairs(
+    Call* c, const std::vector<std::pair<int, int>>& tasks,
+    const std::vector<int>& tau) const {
   std::vector<CascadeVerdict> verdicts(tasks.size());
   std::vector<std::vector<CascadeStats>> worker_stats(
-      pool_->num_threads(), std::vector<CascadeStats>(nu));
+      pool_->num_threads(), std::vector<CascadeStats>(c->Size()));
   pool_->ParallelFor(static_cast<int64_t>(tasks.size()), /*grain=*/4,
                      [&](int64_t t, int worker) {
                        const auto [u, slot] = tasks[t];
-                       verdicts[t] = EvalPair(*queries[uniq[u]], ctx[u],
-                                              *snap, slot, tau,
-                                              /*need_distance=*/false,
+                       verdicts[t] = EvalPair(*c->queries[u], c->ctx[u],
+                                              *c->snap, slot, tau[u],
                                               &worker_stats[worker][u]);
-                       wall_clock.MarkDone(worker, u);
+                       c->wall_clock.MarkDone(worker, u);
                      });
-  const double wall = ElapsedMs(start);
+  for (const auto& ws : worker_stats)
+    for (int u = 0; u < c->Size(); ++u) c->cascade[u].Merge(ws[u]);
+  return verdicts;
+}
+
+QueryStats QueryEngine::FinishQuery(const Call& c, int u, long admitted,
+                                    double call_ms) const {
+  QueryStats s;
+  s.cascade = c.cascade[u];
+  s.index = c.index[u];
+  // Fold index-dismissed graphs into the stats (and mirror into the
+  // global counters) so every graph of the snapshot is a candidate and
+  // SettledTotal == candidates keeps reconciling.
+  const long pruned = static_cast<long>(c.snap->Size()) - admitted;
+  if (pruned > 0) {
+    s.cascade.candidates += pruned;
+    s.cascade.pruned_index += pruned;
+    OTGED_COUNT_N("otged_cascade_candidates_total",
+                  "candidate pairs fed into the filter cascade", pruned);
+    OTGED_COUNT_N("otged_cascade_pruned_total{tier=\"index\"}",
+                  "pairs dismissed by the candidate index before the "
+                  "cascade",
+                  pruned);
+  }
+  s.wall_ms = c.wall_clock.WallMs(u, call_ms);
+  s.epoch = c.snap->epoch();
+  s.trace_id = c.ctx[u].trace_id;
+  return s;
+}
+
+std::vector<RangeResult> QueryEngine::RangeBatchLocked(
+    const std::vector<const Graph*>& queries, int tau) const {
+  Call c = BeginCall(queries);
+  const int nu = c.Size();
+  std::vector<int> all(nu);
+  std::iota(all.begin(), all.end(), 0);
+  const std::vector<int> taus(nu, tau);
+  const std::vector<std::vector<int>> cand = Candidates(&c, all, taus);
+  std::vector<std::pair<int, int>> tasks;  ///< (distinct query, slot)
+  for (int u = 0; u < nu; ++u)
+    for (const int slot : cand[u]) tasks.emplace_back(u, slot);
+  const std::vector<CascadeVerdict> verdicts = EvalPairs(&c, tasks, taus);
+  const double wall = ElapsedMs(c.start);
   OTGED_COUNT_N("otged_queries_total{kind=\"range\"}",
-                "range queries served", nq);
+                "range queries served", queries.size());
   OTGED_HIST_RECORD("otged_batch_latency_us{kind=\"range\"}",
                     "wall time of one serving call (single or batch)",
                     std::lround(wall * 1000.0));
@@ -266,216 +353,111 @@ std::vector<RangeResult> QueryEngine::RangeBatchLocked(
     const auto [u, slot] = tasks[t];
     const CascadeVerdict& v = verdicts[t];
     if (v.within)
-      uniq_res[u].hits.push_back({snap->id(slot), v.ged, v.exact_distance});
+      uniq_res[u].hits.push_back(
+          {c.snap->id(slot), v.ged, v.exact_distance, v.lb});
   }
   for (int u = 0; u < nu; ++u) {
     RangeResult& res = uniq_res[u];
-    for (const auto& ws : worker_stats) res.stats.cascade.Merge(ws[u]);
-    res.stats.index = istats[u];
-    // Fold index-dismissed graphs into the stats (and mirror into the
-    // global counters) so `candidates` still counts the whole corpus and
-    // SettledTotal == candidates keeps reconciling.
-    const long pruned = static_cast<long>(n) -
-                        static_cast<long>(cand[u].size());
-    if (pruned > 0) {
-      res.stats.cascade.candidates += pruned;
-      res.stats.cascade.pruned_index += pruned;
-      OTGED_COUNT_N("otged_cascade_candidates_total",
-                    "candidate pairs fed into the filter cascade", pruned);
-      OTGED_COUNT_N("otged_cascade_pruned_total{tier=\"index\"}",
-                    "pairs dismissed by the candidate index before the "
-                    "cascade",
-                    pruned);
-    }
-    res.stats.wall_ms = wall_clock.WallMs(u, wall);
-    res.stats.epoch = snap->epoch();
-    res.stats.trace_id = ctx[u].trace_id;
+    res.stats = FinishQuery(c, u, static_cast<long>(cand[u].size()), wall);
     OTGED_HIST_RECORD("otged_query_latency_us{kind=\"range\"}",
                       "per-query serving latency",
                       std::lround(res.stats.wall_ms * 1000.0));
   }
-  std::vector<RangeResult> out(nq);
-  for (int q = 0; q < nq; ++q) out[q] = uniq_res[uniq_of[q]];
+  std::vector<RangeResult> out(queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) out[q] = uniq_res[c.uniq_of[q]];
   return out;
 }
 
 std::vector<TopKResult> QueryEngine::TopKBatchLocked(
     const std::vector<const Graph*>& queries, int k) const {
-  auto start = std::chrono::steady_clock::now();
-  auto snap = PinSnapshot();
-  const int n = snap->Size();
-  const int nq = static_cast<int>(queries.size());
-  std::vector<TopKResult> out(nq);
+  Call c = BeginCall(queries);
+  const int n = c.snap->Size();
+  const int nu = c.Size();
   const int kk = std::min(k, n);
-  if (kk <= 0 || nq == 0) {
-    const double wall = ElapsedMs(start);
-    for (TopKResult& res : out) {
-      res.stats.wall_ms = wall;
-      res.stats.epoch = snap->epoch();
-    }
-    return out;
-  }
+  constexpr int kSettled = std::numeric_limits<int>::max();
+  // Per distinct query: its level, and every slot the index admitted so
+  // far (ascending) with the pair's proven lower bound, kSettled once the
+  // pair is a hit.
+  std::vector<int> level(nu, 0);
+  std::vector<std::vector<std::pair<int, int>>> admitted(nu);
+  std::vector<TopKResult> uniq_res(nu);
+  std::vector<int> active;
+  for (int u = 0; kk > 0 && u < nu; ++u) active.push_back(u);
+  while (!active.empty()) {
+    std::vector<int> admitting;
+    for (const int u : active)
+      if (static_cast<int>(admitted[u].size()) < n) admitting.push_back(u);
+    const std::vector<std::vector<int>> cand =
+        Candidates(&c, admitting, level);
+    for (size_t i = 0; i < admitting.size(); ++i)
+      Admit(cand[i], level[admitting[i]], &admitted[admitting[i]]);
 
-  std::vector<uint64_t> fp(nq);
-  for (int q = 0; q < nq; ++q) fp[q] = GraphContentFingerprint(*queries[q]);
-  std::vector<int> uniq_of;
-  const std::vector<int> uniq = DedupByFingerprint(queries, fp, &uniq_of);
-  const int nu = static_cast<int>(uniq.size());
-
-  const uint64_t trace_base = NextTraceIds(nu);
-  std::vector<QueryContext> ctx(nu);
-  for (int u = 0; u < nu; ++u)
-    ctx[u] = {ComputeInvariants(*queries[uniq[u]]), fp[uniq[u]],
-              trace_base + static_cast<uint64_t>(u)};
-  QueryWallClock wall_clock(pool_->num_threads(), nu, start);
-
-  // --- phase A: the most promising probe candidates per query ----------
-  // Materialize the nu x n invariant-bound matrix and select a pool of
-  // kp = kk + topk_seed_probes lowest-(bound, slot) graphs per query
-  // (slots ascend by id, so ties break by id).
-  const int kp =
-      std::min(n, kk + std::max(0, topk_probes_));  ///< probe-pool size
-  std::vector<int> seeds(static_cast<size_t>(nu) * kp);
-  std::vector<int> lb(static_cast<size_t>(nu) * n);
-  pool_->ParallelFor(static_cast<int64_t>(nu) * n, /*grain=*/64,
-                     [&](int64_t t, int) {
-                       const int u = static_cast<int>(t / n);
-                       const int slot = static_cast<int>(t % n);
-                       lb[t] = InvariantLowerBound(ctx[u].qi,
-                                                   snap->invariants(slot));
-                     });
-  for (int u = 0; u < nu; ++u) {
-    const int* row = lb.data() + static_cast<size_t>(u) * n;
-    std::vector<int> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::nth_element(order.begin(), order.begin() + (kp - 1), order.end(),
-                     [&](int a, int b) {
-                       return row[a] != row[b] ? row[a] < row[b] : a < b;
-                     });
-    std::copy(order.begin(), order.begin() + kp,
-              seeds.begin() + static_cast<size_t>(u) * kp);
-  }
-
-  // --- phase B: cap each query's k-th best distance ---------------------
-  // Every probe admits a feasible edit path no longer than its upper
-  // bound (cached exact distance when known), so the kk-th *smallest*
-  // bound over the pool caps the true kk-th best distance. Two things
-  // keep that cap tight, and phase C walks *every* graph whose lower
-  // bound is under it, so tightness is the whole game: (1) each probe's
-  // greedy Classic bound — often 3-4x the true distance on near-identical
-  // pairs — is refined by a budgeted branch-and-bound whose incumbent is
-  // still a feasible path (admissible, proven or not); (2) the pool
-  // extends topk_seed_probes past kk, because the invariant bound is weak
-  // enough that unrelated graphs routinely tie with the query's true
-  // neighbors at the lowest bounds — with extras, the true neighbors'
-  // small refined bounds push the false friends' large ones out of the
-  // cap. Together they collapse the phase-C range by orders of magnitude
-  // on clustered corpora.
-  std::vector<int> seed_ub(static_cast<size_t>(nu) * kp);
-  pool_->ParallelFor(
-      static_cast<int64_t>(nu) * kp, /*grain=*/1,
-      [&](int64_t t, int worker) {
-        const int u = static_cast<int>(t / kp);
-        const int slot = seeds[t];
-        if (use_cache_) {
-          if (std::optional<int> ged =
-                  cache_.Lookup(ctx[u].fp, snap->id(slot))) {
-            seed_ub[t] = *ged;
-            wall_clock.MarkDone(worker, u);
-            return;
-          }
-        }
-        auto [g1, g2] = OrderBySize(*queries[uniq[u]], snap->graph(slot));
-        int ub = ClassicGed(*g1, *g2).ged;
-        if (topk_refine_budget_ > 0) {
-          // Routed through the cascade's tier-4 entry point, which owns
-          // the answer for pairs too large to search. Refinement is not
-          // an exact_calls tier-4 decision, so no counter moves.
-          GedSearchResult r =
-              cascade_.ExactSearch(*g1, *g2, topk_refine_budget_, ub);
-          ub = r.ged;
-          if (use_cache_ && r.exact)
-            cache_.Insert(ctx[u].fp, snap->id(slot), r.ged);
-        }
-        seed_ub[t] = ub;
-        wall_clock.MarkDone(worker, u);
-      });
-  std::vector<int> tau0(nu);
-  for (int u = 0; u < nu; ++u) {
-    std::vector<int> row(seed_ub.begin() + static_cast<size_t>(u) * kp,
-                         seed_ub.begin() + static_cast<size_t>(u + 1) * kp);
-    std::nth_element(row.begin(), row.begin() + (kk - 1), row.end());
-    tau0[u] = row[static_cast<size_t>(kk - 1)];
-  }
-
-  // --- phase C: exact verification of surviving candidates -------------
-  // The task set is exactly { slot : InvariantLowerBound <= tau0 }, read
-  // off phase A's bound matrix.
-  std::vector<std::pair<int, int>> tasks;  ///< (unique query, slot)
-  std::vector<long> screened(nu, 0);
-  for (int u = 0; u < nu; ++u) {
-    for (int slot = 0; slot < n; ++slot) {
-      if (lb[static_cast<size_t>(u) * n + slot] <= tau0[u])
+    std::vector<std::pair<int, int>> tasks;  ///< (distinct query, slot)
+    std::vector<int*> bound;                 ///< the task's admitted lb
+    for (const int u : active) {
+      for (auto& [slot, lb] : admitted[u]) {
+        if (lb != level[u]) continue;
         tasks.emplace_back(u, slot);
-      else
-        ++screened[u];
+        bound.push_back(&lb);
+      }
     }
+    const std::vector<CascadeVerdict> verdicts = EvalPairs(&c, tasks, level);
+    for (size_t t = 0; t < tasks.size(); ++t) {
+      const auto [u, slot] = tasks[t];
+      const CascadeVerdict& v = verdicts[t];
+      int& lb = *bound[t];
+      if (!v.within) {
+        OTGED_DCHECK(v.lb > level[u]);
+        lb = v.lb;
+        continue;
+      }
+      // GED >= level is proven, so a distance within the level is exact.
+      // Otherwise the pair was kept unproven (its search ran out of
+      // budget, or it is over kMaxExactNodes): [level, ged].
+      OTGED_DCHECK(v.ged >= level[u]);
+      const bool exact = v.ged <= level[u];
+      uniq_res[u].hits.push_back({c.snap->id(slot), v.ged, exact, level[u]});
+      lb = kSettled;
+    }
+
+    std::vector<int> next;
+    for (const int u : active) {
+      if (static_cast<int>(uniq_res[u].hits.size()) >= kk) continue;
+      int to = level[u] + 1;
+      if (static_cast<int>(admitted[u].size()) == n) {
+        to = kSettled;
+        for (const auto& [slot, lb] : admitted[u]) to = std::min(to, lb);
+        OTGED_DCHECK(to > level[u] && to < kSettled);
+      }
+      level[u] = to;
+      next.push_back(u);
+    }
+    active = std::move(next);
   }
-  std::vector<CascadeVerdict> verdicts(tasks.size());
-  std::vector<std::vector<CascadeStats>> worker_stats(
-      pool_->num_threads(), std::vector<CascadeStats>(nu));
-  pool_->ParallelFor(static_cast<int64_t>(tasks.size()), /*grain=*/2,
-                     [&](int64_t t, int worker) {
-                       const auto [u, slot] = tasks[t];
-                       verdicts[t] = EvalPair(*queries[uniq[u]], ctx[u],
-                                              *snap, slot, tau0[u],
-                                              /*need_distance=*/true,
-                                              &worker_stats[worker][u]);
-                       wall_clock.MarkDone(worker, u);
-                     });
-  const double wall = ElapsedMs(start);
+  const double wall = ElapsedMs(c.start);
   OTGED_COUNT_N("otged_queries_total{kind=\"topk\"}",
-                "top-k queries served", nq);
+                "top-k queries served", queries.size());
   OTGED_HIST_RECORD("otged_batch_latency_us{kind=\"topk\"}",
                     "wall time of one serving call (single or batch)",
                     std::lround(wall * 1000.0));
 
-  std::vector<TopKResult> uniq_res(nu);
-  for (size_t t = 0; t < tasks.size(); ++t) {
-    const auto [u, slot] = tasks[t];
-    if (verdicts[t].within)
-      uniq_res[u].hits.push_back(
-          {snap->id(slot), verdicts[t].ged, verdicts[t].exact_distance});
-  }
   for (int u = 0; u < nu; ++u) {
     TopKResult& res = uniq_res[u];
     std::sort(res.hits.begin(), res.hits.end(),
               [](const TopKHit& a, const TopKHit& b) {
-                return a.ged != b.ged ? a.ged < b.ged : a.id < b.id;
+                return a.lb != b.lb ? a.lb < b.lb : a.id < b.id;
               });
     if (static_cast<int>(res.hits.size()) > kk) res.hits.resize(kk);
-    for (const auto& ws : worker_stats) res.stats.cascade.Merge(ws[u]);
-    // Fold the candidates phase A's bound matrix screened out into the
-    // stats so they describe the query — and mirror the fold into the
-    // global counters so Prometheus totals keep reconciling with summed
-    // QueryStats.
-    res.stats.cascade.candidates += screened[u];
-    res.stats.cascade.pruned_invariant += screened[u];
-    OTGED_COUNT_N("otged_cascade_candidates_total",
-                  "candidate pairs fed into the filter cascade",
-                  screened[u]);
-    OTGED_COUNT_N("otged_cascade_pruned_total{tier=\"invariant\"}",
-                  "pairs dismissed by an admissible lower bound at this "
-                  "tier",
-                  screened[u]);
-    res.stats.wall_ms = wall_clock.WallMs(u, wall);
-    res.stats.epoch = snap->epoch();
-    res.stats.trace_id = ctx[u].trace_id;
+    // k <= 0 asks for nothing, so no graph was considered.
+    const long considered = kk > 0 ? static_cast<long>(admitted[u].size())
+                                   : static_cast<long>(n);
+    res.stats = FinishQuery(c, u, considered, wall);
     OTGED_HIST_RECORD("otged_query_latency_us{kind=\"topk\"}",
                       "per-query serving latency",
                       std::lround(res.stats.wall_ms * 1000.0));
   }
-  for (int q = 0; q < nq; ++q) out[q] = uniq_res[uniq_of[q]];
+  std::vector<TopKResult> out(queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) out[q] = uniq_res[c.uniq_of[q]];
   return out;
 }
 

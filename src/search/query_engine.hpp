@@ -11,14 +11,13 @@
 /// per-candidate slots and statistics are merged from per-worker buffers
 /// with commutative sums, so scheduling order never leaks into the output.
 ///
-/// With the index enabled (the default), range candidate generation
-/// goes through GraphIndex first: its partition/label levels produce a
+/// With the index enabled (the default), candidate generation goes
+/// through GraphIndex first: its partition/label levels produce a
 /// candidate list, so the cascade only sees a sublinear slice of the
 /// store. Index pruning uses the same admissible bounds a full scan's
 /// tier 0 would, so hits are byte-identical with the index on or off;
 /// pairs the index dismissed are folded into the query's CascadeStats as
-/// `pruned_index`, keeping `candidates == corpus size` per query and all
-/// counter reconciliation intact. Top-k does not use the index.
+/// `pruned_index`, keeping all counter reconciliation intact.
 ///
 /// Pairs whose exact distance the cascade proves are remembered in a
 /// sharded LRU bound cache keyed by (query content fingerprint, stable
@@ -28,20 +27,22 @@
 /// erased graph are invalidated lazily at the next query (stable ids are
 /// never reused, so stale entries can never alias a new graph).
 ///
-/// Top-k runs in three deterministic phases:
-///   A. invariant lower bounds for every stored graph (parallel, O(n)),
-///      kept as a bound matrix; nth_element picks the k + probes graphs
-///      with the lowest (bound, id);
-///   B. refined upper bounds for those probes — the k-th smallest is a
-///      provable cap tau0 on the k-th best distance;
-///   C. a scan of the bound matrix keeps every graph whose lower bound is
-///      within tau0 (the rest are counted as `pruned_invariant`);
-///      exact bounded-distance verification (parallel) of those, then a
-///      final sort by (ged, id).
+/// Top-k is a deepening range read over the same candidates and the same
+/// tau-thresholded cascade, at levels t = 0, 1, ...: at each level the
+/// index admits its range candidates, and the pass re-tests only the
+/// admitted pairs whose proven lower bound equals t (a graph admitted for
+/// the first time starts at t: the index dismissed it one level lower).
+/// A dismissal raises the pair's bound past t, often by several levels.
+/// When the index has admitted every graph, the next level is the
+/// smallest open bound instead of t + 1. A query stops after the first
+/// level that gives it k hits. Every pair still open at level t has
+/// GED >= t proven, so a pair proven within t sits at exactly t: a hit's
+/// level is its exact distance.
 #ifndef OTGED_SEARCH_QUERY_ENGINE_HPP_
 #define OTGED_SEARCH_QUERY_ENGINE_HPP_
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/thread_annotations.hpp"
@@ -58,31 +59,14 @@ struct EngineOptions {
   int num_threads = 0;  ///< 0 = std::thread::hardware_concurrency()
   CascadeOptions cascade;
   bool use_bound_cache = true;  ///< cache proven-exact pair distances
-  /// Generate range candidates through the two-level index instead of
-  /// scanning every stored graph (top-k always scans its bound matrix).
-  /// The index prunes only via admissible lower bounds, so results are
-  /// byte-identical either way; turning it off is for verification and
-  /// micro-benchmarks.
+  /// Generate candidates through the two-level index instead of
+  /// scanning every stored graph. The index prunes only via admissible
+  /// lower bounds, so results are byte-identical either way; turning it
+  /// off is for verification and micro-benchmarks.
   bool use_index = true;
-  IndexOptions index;  ///< empty: the index has no settable options
-  /// Top-k verifies every graph whose lower bound is under the cap set
-  /// by the k seeds' upper bounds, so a loose greedy bound on one seed
-  /// drags in a large slice of the corpus. Each seed pair therefore
-  /// gets a budgeted branch-and-bound refinement (node-expansion budget
-  /// below; 0 disables; the same FilterCascade::ExactSearch tier 4 uses)
-  /// before the cap is taken — the incumbent it returns is a feasible
-  /// edit path, so the cap stays admissible and results are
-  /// byte-identical, only cheaper. k seeds per query pay this; the
-  /// collapsed verification set repays it at any real corpus size.
-  long topk_seed_refine_budget = 50'000;
-  /// How many low-bound candidates beyond k get a refined upper bound
-  /// before the cap is taken. The k-th *smallest* refined bound over the
-  /// whole probe pool caps the k-th best distance (each probe admits a
-  /// feasible path), so a pool that contains the true neighbors yields a
-  /// near-tight cap even when the k lowest-LB graphs are false friends —
-  /// ties in the weak invariant bound routinely rank unrelated graphs
-  /// ahead of a query's true cluster. 0 = cap from the k seeds alone.
-  int topk_seed_probes = 16;
+  /// Must stay empty: the index has no settable options. Kept only
+  /// because gedbench builds a GraphIndex from it.
+  IndexOptions index;
 };
 
 /// Per-query serving telemetry.
@@ -96,10 +80,15 @@ struct QueryStats {
   uint64_t epoch = 0;      ///< store epoch the query was served against
   uint64_t trace_id = 0;   ///< process-unique query id; TraceEvents carry
                            ///< it (duplicate queries in a batch share one)
-  CascadeStats cascade;    ///< tier-by-tier pruning and solver counts
-  IndexStats index;        ///< what the candidate index did (zeros for
-                           ///< top-k and when the engine runs without
-                           ///< an index)
+  /// Tier-by-tier pruning and solver counts. A top-k read counts one
+  /// candidate per pair evaluation at every level (a re-tested pair
+  /// counts again, and settles in one tier again), plus one `pruned_index`
+  /// candidate per graph the index never admitted; so `candidates` can
+  /// exceed the corpus size, and SettledTotal() == candidates still holds.
+  CascadeStats cascade;
+  IndexStats index;        ///< what the candidate index did, summed over
+                           ///< a top-k read's levels (zeros when the
+                           ///< engine runs without an index)
 };
 
 /// One search hit, shared by range and top-k results. `id` is the stable
@@ -108,16 +97,17 @@ struct QueryStats {
 /// feasible upper bound: a range hit tier 2's edit path witnessed, or a
 /// pair whose exact search ran out of budget or that is too large for it
 /// (kept conservatively; the cascade never dismisses without a proof).
+/// `lb` is the proven lower bound, so the true distance lies in
+/// [lb, ged]; `lb == ged` for every exact hit.
 ///
 /// `exact_distance` defaults to false for every hit kind: a distance is
 /// only exact when a tier proved it, and every construction site must
-/// say so explicitly. (RangeHit and TopKHit used to be separate structs
-/// whose defaults silently disagreed — false vs true — which invited
-/// misreads in call sites that default-construct hits.)
+/// say so explicitly.
 struct SearchHit {
   int id = -1;
   int ged = -1;
   bool exact_distance = false;
+  int lb = -1;
 };
 using RangeHit = SearchHit;
 using TopKHit = SearchHit;
@@ -127,10 +117,13 @@ struct RangeResult {
   QueryStats stats;
 };
 
-/// Top-k hits are exact distances ascending (ged, id), except pairs the
-/// exact tier could not finish (`exact_distance == false`).
+/// Top-k hits ascend by (lb, id). A proven hit has lb == ged, so proven
+/// hits ascend by (ged, id). An unproven one (`exact_distance == false`:
+/// its exact search ran out of budget or the pair is over
+/// kMaxExactNodes) ranks by its lower bound, with `ged` its feasible
+/// upper bound, and is counted in `stats.cascade.exact_incomplete`.
 struct TopKResult {
-  std::vector<TopKHit> hits;  ///< ascending by (ged, id)
+  std::vector<TopKHit> hits;  ///< ascending by (lb, id)
   QueryStats stats;
 };
 
@@ -149,13 +142,15 @@ class QueryEngine {
   /// parallel across the pool.
   RangeResult Range(const Graph& query, int tau) const EXCLUDES(serve_mu_);
 
-  /// The k nearest graphs by exact GED, ascending (ged, id).
+  /// The k nearest graphs by exact GED, ascending (lb, id): see
+  /// TopKResult for hits the exact tier could not prove.
   TopKResult TopK(const Graph& query, int k) const EXCLUDES(serve_mu_);
 
-  /// Batch variants: all queries share one snapshot and one pool pass per
-  /// phase — the (query x candidate) pair grid is flattened into a single
-  /// parallel loop, so a straggler pair of one query overlaps with other
-  /// queries' work instead of idling the pool at a per-query barrier.
+  /// Batch variants: all queries share one snapshot and one pool pass
+  /// (per level, for top-k) — the (query x candidate) pair grid is
+  /// flattened into a single parallel loop, so a straggler pair of one
+  /// query overlaps with other queries' work instead of idling the pool
+  /// at a per-query barrier.
   /// Each result equals the corresponding single-query call on the same
   /// snapshot and cache state; `stats.wall_ms` reports each query's own
   /// completion time within the batch (see QueryStats).
@@ -186,18 +181,39 @@ class QueryEngine {
     uint64_t trace_id = 0;  ///< process-unique id stamped on TraceEvents
   };
 
+  /// One serving call's set-up, shared by range and top-k (see the .cpp).
+  struct Call;
+
   /// Answers one (query, snapshot slot) pair: bound cache first, then the
   /// cascade; proven-exact outcomes are written back to the cache.
   CascadeVerdict EvalPair(const Graph& query, const QueryContext& qc,
                           const StoreSnapshot& snap, int slot, int tau,
-                          bool need_distance, CascadeStats* stats) const;
+                          CascadeStats* stats) const;
 
   /// Pins the current snapshot, first draining the store's erase log into
   /// cache invalidations.
   std::shared_ptr<const StoreSnapshot> PinSnapshot() const
       REQUIRES(serve_mu_);
 
-  /// Shared-pass implementations.
+  /// Pins the snapshot and its index view, deduplicates the queries and
+  /// prepares their contexts.
+  Call BeginCall(const std::vector<const Graph*>& queries) const
+      REQUIRES(serve_mu_);
+  /// Ascending candidate slots of each listed distinct query at its
+  /// `tau[u]` (every slot without an index), one pool pass over `us`.
+  std::vector<std::vector<int>> Candidates(Call* c, const std::vector<int>& us,
+                                           const std::vector<int>& tau) const
+      REQUIRES(serve_mu_);
+  /// One flattened pool pass over (distinct query, slot) pairs at each
+  /// query's `tau[u]`; statistics merge into the call.
+  std::vector<CascadeVerdict> EvalPairs(
+      Call* c, const std::vector<std::pair<int, int>>& tasks,
+      const std::vector<int>& tau) const REQUIRES(serve_mu_);
+  /// Distinct query `u`'s stats: the call's counters plus the graphs the
+  /// index never admitted (`n - admitted`) folded in as `pruned_index`.
+  QueryStats FinishQuery(const Call& c, int u, long admitted,
+                         double call_ms) const;
+
   std::vector<RangeResult> RangeBatchLocked(
       const std::vector<const Graph*>& queries, int tau) const
       REQUIRES(serve_mu_);
@@ -213,8 +229,6 @@ class QueryEngine {
   std::unique_ptr<ThreadPool> pool_;
   mutable Mutex serve_mu_;  ///< one call at a time on the pool
   bool use_cache_;
-  long topk_refine_budget_;
-  int topk_probes_;
   mutable BoundCache cache_;
   mutable size_t erase_cursor_ GUARDED_BY(serve_mu_) = 0;
 };

@@ -34,7 +34,7 @@ TEST(ExactBudgetTest, StarvedVerdictsAreConservativeNeverExact) {
   FilterCascade full;
 
   Rng rng(31);
-  int starved_runs = 0;
+  int starved_runs = 0, full_exact = 0, full_dismissed = 0;
   for (int trial = 0; trial < 60; ++trial) {
     GedPair pair = HardPair(&rng);
     const GraphInvariants qi = ComputeInvariants(pair.g1);
@@ -42,25 +42,40 @@ TEST(ExactBudgetTest, StarvedVerdictsAreConservativeNeverExact) {
     for (int tau = 2; tau <= 3; ++tau) {
       CascadeStats ss, fs;
       const CascadeVerdict sv = starved.BoundedDistance(
-          pair.g1, qi, pair.g2, gi, tau, /*need_distance=*/true, &ss);
+          pair.g1, qi, pair.g2, gi, tau, /*need_distance=*/false, &ss);
       const CascadeVerdict fv = full.BoundedDistance(
-          pair.g1, qi, pair.g2, gi, tau, /*need_distance=*/true, &fs);
+          pair.g1, qi, pair.g2, gi, tau, /*need_distance=*/false, &fs);
       ASSERT_EQ(fs.exact_incomplete, 0) << "full budget starved?!";
       EXPECT_EQ(ss.SettledTotal(), ss.candidates);
+      EXPECT_LE(sv.lb, fv.lb) << "trial " << trial;
       if (ss.exact_incomplete > 0) {
         ++starved_runs;
-        // The starved run reached tier 4, so its LB was <= tau; the
-        // unlimited cascade then escalates past every LB tier too and
-        // must prove the distance.
-        ASSERT_TRUE(fv.exact_distance) << "trial " << trial;
+        // The starved run reached tier 4, so its bounds left tau open;
+        // the unlimited cascade escalates just as far and must settle
+        // the pair with a proof: an exact distance within tau, or an
+        // exhausted tree proving GED > tau.
         EXPECT_EQ(ss.exact_incomplete, 1);
         EXPECT_EQ(ss.exact_calls, 1);
+        ASSERT_EQ(fv.tier, CascadeTier::kExact) << "trial " << trial;
+        if (fv.exact_distance) {
+          ++full_exact;
+          EXPECT_TRUE(fv.within);
+          EXPECT_LE(fv.ged, tau);
+          EXPECT_EQ(fv.lb, fv.ged);
+        } else {
+          ++full_dismissed;
+          EXPECT_FALSE(fv.within) << "trial " << trial;
+          EXPECT_EQ(fv.lb, tau + 1) << "trial " << trial;
+        }
         // The three guarantees of an exhausted exact tier: the candidate
         // is kept, the distance is flagged unproven, and the reported
-        // value is still a feasible upper bound on the true GED.
+        // value is still a feasible upper bound on the true GED, so it is
+        // at least the full run's exact distance or proven lower bound.
         EXPECT_TRUE(sv.within) << "trial " << trial << " tau " << tau;
         EXPECT_FALSE(sv.exact_distance) << "trial " << trial;
-        EXPECT_GE(sv.ged, fv.ged) << "trial " << trial;
+        EXPECT_GE(sv.ged, fv.exact_distance ? fv.ged : fv.lb)
+            << "trial " << trial;
+        EXPECT_LE(sv.lb, sv.ged) << "trial " << trial;
       } else {
         // Not starved means decided, and every decision is proof-backed:
         // the starved cascade must agree with the unlimited one.
@@ -73,6 +88,8 @@ TEST(ExactBudgetTest, StarvedVerdictsAreConservativeNeverExact) {
     }
   }
   EXPECT_GT(starved_runs, 0) << "fixture never reached a starved tier 4";
+  EXPECT_GT(full_exact, 0) << "no starved pair has a proven distance";
+  EXPECT_GT(full_dismissed, 0) << "no starved pair has a proven dismissal";
 }
 
 TEST(ExactBudgetTest, StarvedEngineKeepsEveryTrueHitAndReconciles) {
@@ -117,8 +134,7 @@ TEST(ExactBudgetTest, StarvedEngineKeepsEveryTrueHitAndReconciles) {
 #endif
 
   // A starved exact tier must actually have happened for this test to
-  // mean anything; top-k forces need_distance, so bound gaps cannot be
-  // settled short of tier 4.
+  // mean anything.
   EXPECT_GT(total.exact_incomplete, 0);
   EXPECT_GE(total.exact_calls, total.exact_incomplete);
 
@@ -136,12 +152,18 @@ TEST(ExactBudgetTest, StarvedEngineKeepsEveryTrueHitAndReconciles) {
       EXPECT_TRUE(truth_ids.count(h.id)) << "false exact hit id " << h.id;
     }
   }
-  // Top-k under starvation: order still (ged, id), unproven entries
-  // flagged.
+  // Top-k under starvation: ordered by (lb, id), each hit's distance
+  // inside its proven interval [lb, ged], exact hits with lb == ged.
+  for (const TopKHit& h : topk.hits) {
+    EXPECT_LE(h.lb, h.ged) << "id " << h.id;
+    if (h.exact_distance) {
+      EXPECT_EQ(h.lb, h.ged) << "id " << h.id;
+    }
+  }
   for (size_t i = 1; i < topk.hits.size(); ++i) {
     const TopKHit& a = topk.hits[i - 1];
     const TopKHit& b = topk.hits[i];
-    EXPECT_TRUE(a.ged < b.ged || (a.ged == b.ged && a.id < b.id));
+    EXPECT_TRUE(a.lb < b.lb || (a.lb == b.lb && a.id < b.id));
   }
 
 #if OTGED_TELEMETRY_COMPILED

@@ -5,8 +5,8 @@
 /// indexed candidate sets against a brute-force scan of the very
 /// snapshot each view was built for — a torn view or a stale posting
 /// would drop a true candidate. A second test hammers the full engine
-/// and verifies every served answer against per-epoch exact ground
-/// truth.
+/// and verifies every served range and top-k answer against per-epoch
+/// exact ground truth.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -99,7 +99,7 @@ TEST(IndexHammerTest, ConcurrentViewsMatchTheirSnapshots) {
 /// reported epoch.
 TEST(IndexHammerTest, IndexedServingIsExactAtEveryEpoch) {
   constexpr int kBase = 12, kExtras = 14, kQueries = 5, kRounds = 4;
-  constexpr int kTau = 2;
+  constexpr int kTau = 2, kK = 3;
   Rng rng(191);
 
   std::vector<Graph> universe;
@@ -149,6 +149,7 @@ TEST(IndexHammerTest, IndexedServingIsExactAtEveryEpoch) {
     int query;
     uint64_t epoch;
     std::vector<int> hit_ids;
+    std::vector<std::pair<int, int>> topk;  ///< (id, ged)
   };
   std::vector<std::vector<Observation>> observed(2);
   auto serve = [&](int worker) {
@@ -158,9 +159,17 @@ TEST(IndexHammerTest, IndexedServingIsExactAtEveryEpoch) {
         EXPECT_EQ(res.stats.index.scanned,
                   res.stats.index.candidates +
                       res.stats.index.PrunedTotal());
-        Observation obs{q, res.stats.epoch, {}};
+        Observation obs{q, res.stats.epoch, {}, {}};
         for (const RangeHit& h : res.hits) obs.hit_ids.push_back(h.id);
         observed[static_cast<size_t>(worker)].push_back(std::move(obs));
+        // Top-k deepens through the same index views, one per level.
+        TopKResult top = engine.TopK(queries[q], kK);
+        Observation tobs{q, top.stats.epoch, {}, {}};
+        for (const TopKHit& h : top.hits) {
+          EXPECT_TRUE(h.exact_distance);
+          tobs.topk.emplace_back(h.id, h.ged);
+        }
+        observed[static_cast<size_t>(worker)].push_back(std::move(tobs));
       }
     }
   };
@@ -175,11 +184,22 @@ TEST(IndexHammerTest, IndexedServingIsExactAtEveryEpoch) {
       auto it = epoch_sets.find(obs.epoch);
       ASSERT_NE(it, epoch_sets.end())
           << "served epoch " << obs.epoch << " was never a corpus state";
+      const std::vector<int>& dist = exact[static_cast<size_t>(obs.query)];
+      if (!obs.topk.empty()) {
+        std::vector<std::pair<int, int>> nearest;  ///< (ged, id)
+        for (int id : it->second)
+          nearest.emplace_back(dist[static_cast<size_t>(id)], id);
+        std::sort(nearest.begin(), nearest.end());
+        nearest.resize(std::min<size_t>(kK, nearest.size()));
+        std::vector<std::pair<int, int>> expected;  ///< (id, ged)
+        for (const auto& [ged, id] : nearest) expected.emplace_back(id, ged);
+        EXPECT_EQ(obs.topk, expected)
+            << "top-k query " << obs.query << " at epoch " << obs.epoch;
+        continue;
+      }
       std::vector<int> expected;
       for (int id : it->second)
-        if (exact[static_cast<size_t>(obs.query)][static_cast<size_t>(
-                id)] <= kTau)
-          expected.push_back(id);
+        if (dist[static_cast<size_t>(id)] <= kTau) expected.push_back(id);
       EXPECT_EQ(obs.hit_ids, expected)
           << "query " << obs.query << " at epoch " << obs.epoch;
     }

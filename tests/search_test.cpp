@@ -376,6 +376,70 @@ TEST(QueryEngineTest, BatchEqualsPerQueryCalls) {
   }
 }
 
+/// Top-k deepens each query of a batch on its own: a query stops after
+/// the first level that gives it k hits while the others keep going.
+/// Each batch entry must equal its per-query call (hits and every
+/// counter), with the index on and off, and equal brute force.
+TEST(QueryEngineTest, TopKBatchEqualsPerQueryWhenQueriesStopAtDifferentLevels) {
+  GraphStore store = MakeSmallStore(40, 3, 37);
+  Rng rng(83);
+  std::vector<Graph> queries = {store.graph(5)};  // a stored graph
+  SyntheticEditOptions sopt;
+  sopt.num_edits = 2;
+  sopt.num_labels = 3;
+  queries.push_back(SyntheticEditPair(store.graph(11), sopt, &rng).g2);
+  queries.push_back(RandomConnectedGraph(9, 3, 3, &rng));  // far away
+  constexpr int kK = 3;
+
+  for (const bool use_index : {true, false}) {
+    EngineOptions opt;
+    opt.num_threads = 3;
+    opt.use_index = use_index;
+    QueryEngine single(&store, opt), batched(&store, opt);
+    const std::vector<TopKResult> batch = batched.TopKBatch(queries, kK);
+    ASSERT_EQ(batch.size(), queries.size());
+    std::vector<int> stop_levels;
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const TopKResult one = single.TopK(queries[q], kK);
+      const TopKResult& got = batch[q];
+      ASSERT_EQ(got.hits.size(), static_cast<size_t>(kK)) << "q=" << q;
+      ASSERT_EQ(one.hits.size(), got.hits.size()) << "q=" << q;
+      for (size_t i = 0; i < got.hits.size(); ++i) {
+        EXPECT_EQ(got.hits[i].id, one.hits[i].id) << "q=" << q;
+        EXPECT_EQ(got.hits[i].ged, one.hits[i].ged) << "q=" << q;
+        EXPECT_EQ(got.hits[i].lb, one.hits[i].lb) << "q=" << q;
+        EXPECT_EQ(got.hits[i].exact_distance, one.hits[i].exact_distance);
+      }
+      const CascadeStats& a = got.stats.cascade;
+      const CascadeStats& b = one.stats.cascade;
+      EXPECT_EQ(a.candidates, b.candidates) << "q=" << q;
+      EXPECT_EQ(a.pruned_index, b.pruned_index) << "q=" << q;
+      EXPECT_EQ(a.exact_calls, b.exact_calls) << "q=" << q;
+      EXPECT_EQ(a.SettledTotal(), a.candidates) << "q=" << q;
+      EXPECT_EQ(got.stats.index.candidates, one.stats.index.candidates);
+
+      // Brute force: exact distance to every graph, sorted by (ged, id).
+      std::vector<TopKHit> expected;
+      for (int id = 0; id < store.Size(); ++id)
+        expected.push_back({id, ExactGed(queries[q], store.graph(id))});
+      std::sort(expected.begin(), expected.end(),
+                [](const TopKHit& x, const TopKHit& y) {
+                  return x.ged != y.ged ? x.ged < y.ged : x.id < y.id;
+                });
+      for (int i = 0; i < kK; ++i) {
+        EXPECT_EQ(got.hits[i].id, expected[i].id) << "q=" << q;
+        EXPECT_EQ(got.hits[i].ged, expected[i].ged) << "q=" << q;
+        EXPECT_EQ(got.hits[i].lb, expected[i].ged) << "q=" << q;
+        EXPECT_TRUE(got.hits[i].exact_distance) << "q=" << q;
+      }
+      stop_levels.push_back(got.hits.back().lb);
+    }
+    std::sort(stop_levels.begin(), stop_levels.end());
+    EXPECT_LT(stop_levels.front(), stop_levels.back())
+        << "every query stopped at the same level";
+  }
+}
+
 TEST(QueryEngineTest, CascadeTiersActuallyPrune) {
   // On a corpus with diverse sizes, most candidates must die in the
   // cheap tiers for a small tau — the whole point of filter–verify.

@@ -281,14 +281,22 @@ TEST(TelemetryEndToEndTest, CascadeCountersReconcileWithQueryStats) {
 
   telemetry::MetricsSnapshot before = telemetry::Registry().Snapshot();
   CascadeStats total;
-  for (const RangeResult& res : engine.RangeBatch(queries, 3))
+  IndexStats itotal;
+  for (const RangeResult& res : engine.RangeBatch(queries, 3)) {
     total.Merge(res.stats.cascade);
-  for (const TopKResult& res : engine.TopKBatch(queries, 4))
+    itotal.Merge(res.stats.index);
+  }
+  // Top-k reads the index once per level.
+  for (const TopKResult& res : engine.TopKBatch(queries, 4)) {
     total.Merge(res.stats.cascade);
+    itotal.Merge(res.stats.index);
+  }
   // Second range pass hits the bound cache, exercising the cache-hit
   // mirror path too.
-  for (const RangeResult& res : engine.RangeBatch(queries, 3))
+  for (const RangeResult& res : engine.RangeBatch(queries, 3)) {
     total.Merge(res.stats.cascade);
+    itotal.Merge(res.stats.index);
+  }
   telemetry::MetricsSnapshot after = telemetry::Registry().Snapshot();
 
   ASSERT_GT(total.candidates, 0);
@@ -299,6 +307,23 @@ TEST(TelemetryEndToEndTest, CascadeCountersReconcileWithQueryStats) {
     EXPECT_EQ(after.CounterValue(nf.counter) - before.CounterValue(nf.counter),
               total.*nf.field)
         << nf.counter;
+  // The index counters reconcile with the summed IndexStats the same way.
+  const struct {
+    const char* counter;
+    long expected;
+  } index_rows[] = {
+      {"otged_index_candidates_total", itotal.candidates},
+      {"otged_index_pruned_total{level=\"partition\"}",
+       itotal.partition_pruned},
+      {"otged_index_pruned_total{level=\"label\"}", itotal.label_pruned},
+      {"otged_index_partitions_opened_total", itotal.partitions_opened},
+  };
+  ASSERT_GT(itotal.scanned, 0);
+  for (const auto& row : index_rows)
+    EXPECT_EQ(after.CounterValue(row.counter, 0) -
+                  before.CounterValue(row.counter, 0),
+              row.expected)
+        << row.counter;
 }
 
 /// Samples recorded so far in the histogram of that full name (0 before
