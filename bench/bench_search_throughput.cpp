@@ -66,7 +66,7 @@ int ExactGed(const Graph& a, const Graph& b) {
 GraphStore PowerLawStore(int count, Rng* rng) {
   GraphStore store;
   for (int i = 0; i < count; ++i)
-    store.Add(PowerLawGraph(rng->UniformInt(10, 32), rng->UniformInt(1, 3),
+    store.Insert(PowerLawGraph(rng->UniformInt(10, 32), rng->UniformInt(1, 3),
                             rng));
   return store;
 }
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
       SyntheticEditOptions sopt;
       sopt.num_edits = 1 + v;
       sopt.allow_relabel = false;
-      store.Add(SyntheticEditPair(q, sopt, &rng).g2);
+      store.Insert(SyntheticEditPair(q, sopt, &rng).g2);
     }
   }
 
@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
   // ------------------------------------------------------ 2. correctness
   Rng crng(21);
   GraphStore small;
-  for (int i = 0; i < 60; ++i) small.Add(AidsLikeGraph(&crng, 4, 9));
+  for (int i = 0; i < 60; ++i) small.Insert(AidsLikeGraph(&crng, 4, 9));
   QueryEngine verifier(&small, {});
   long checked = 0, mismatched = 0;
   for (int q = 0; q < 4; ++q) {

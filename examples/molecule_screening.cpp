@@ -26,11 +26,11 @@ int main() {
     SyntheticEditOptions opt;
     opt.num_edits = rng.UniformInt(1, 3);
     opt.num_labels = 29;
-    store.Add(SyntheticEditPair(reference, opt, &rng).g2);
+    store.Insert(SyntheticEditPair(reference, opt, &rng).g2);
     related.push_back(true);
   }
   for (int i = 0; i < 20; ++i) {
-    store.Add(AidsLikeGraph(&rng, 7, 10));
+    store.Insert(AidsLikeGraph(&rng, 7, 10));
     related.push_back(false);
   }
 

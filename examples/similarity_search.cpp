@@ -28,7 +28,7 @@ int main() {
     opt.num_labels = 1;
     opt.allow_relabel = false;
     GedPair pair = SyntheticEditPair(query, opt, &rng);
-    store.Add(pair.g2);
+    store.Insert(pair.g2);
     true_ged.push_back(pair.ged);
   }
 

@@ -1,7 +1,6 @@
 #include "search/bound_cache.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "telemetry/metrics.hpp"
 
@@ -55,32 +54,6 @@ void BoundCache::Insert(uint64_t query_fp, int graph_id, int exact_ged) {
               "proven-exact distances recorded in the bound cache");
   shard.lru.emplace_front(key, exact_ged);
   shard.map.emplace(key, shard.lru.begin());
-}
-
-void BoundCache::EraseGraph(int graph_id) {
-  EraseGraphs({graph_id});
-}
-
-void BoundCache::EraseGraphs(const std::vector<int>& graph_ids) {
-  if (graph_ids.empty()) return;
-  const std::unordered_set<int> retired(graph_ids.begin(), graph_ids.end());
-  long invalidated = 0;
-  for (auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    for (auto it = shard->lru.begin(); it != shard->lru.end();) {
-      if (retired.count(it->first.id) != 0) {
-        shard->map.erase(it->first);
-        it = shard->lru.erase(it);
-        ++invalidated;
-      } else {
-        ++it;
-      }
-    }
-  }
-  if (invalidated > 0)
-    OTGED_COUNT_N("otged_bound_cache_invalidations_total",
-                  "entries dropped because their graph id was retired",
-                  invalidated);
 }
 
 void BoundCache::Clear() {

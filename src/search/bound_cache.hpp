@@ -7,11 +7,12 @@
 /// so a hit is correct for any tau (a range read's or a top-k level's),
 /// and cache contents never depend on the order or thresholds of past queries;
 /// warm-cache serving therefore stays deterministic. Keys pair the query
-/// graph's content fingerprint with the stored graph's stable id; ids are
-/// never reused, so a stale entry can never alias a different graph —
-/// EraseGraph invalidation is memory hygiene (and protection against id
-/// reuse across a GraphStore::Restore), not a correctness requirement for
-/// plain Erase.
+/// graph's content fingerprint with the stored graph's stable id, so an
+/// entry holds for as long as the id names the same graph: within one
+/// snapshot lineage (see StoreSnapshot::lineage). The owner calls Clear()
+/// when the lineage changes. An erased graph's entries are never looked
+/// up again, so they sink to their shard's LRU tail and go before any
+/// entry still in use.
 ///
 /// Sharded by key hash: lookups and inserts from the engine's thread pool
 /// contend only within a shard, and each shard runs its own LRU.
@@ -42,14 +43,6 @@ class BoundCache {
   /// Records a proven-exact distance; refreshes on re-insert. Evicts the
   /// shard's least-recently-used entry when the shard is full.
   void Insert(uint64_t query_fp, int graph_id, int exact_ged);
-
-  /// Drops every entry for `graph_id` (all shards).
-  void EraseGraph(int graph_id);
-
-  /// Drops every entry for any id in `graph_ids` in one sweep per shard
-  /// — O(cache size) total for the whole batch, not per id, which is
-  /// what the serving path wants when draining an erase-log backlog.
-  void EraseGraphs(const std::vector<int>& graph_ids);
 
   void Clear();
   size_t Size() const;

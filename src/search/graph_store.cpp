@@ -1,6 +1,7 @@
 #include "search/graph_store.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 
@@ -110,6 +111,11 @@ int InvariantLowerBound(const GraphInvariants& a, const GraphInvariants& b) {
   return std::max(label_bound, degree_bound);
 }
 
+uint64_t StoreSnapshot::NextLineage() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 int StoreSnapshot::SlotOf(int id) const {
   // The first chunk whose last id is >= id is the only one that can
   // hold it.
@@ -197,7 +203,6 @@ GraphStore::GraphStore(GraphStore&& o) noexcept {
   MutexLock lock(o.mu_);
   snap_ = std::move(o.snap_);
   next_id_ = o.next_id_;
-  erase_log_ = std::move(o.erase_log_);
   o.snap_ = std::make_shared<StoreSnapshot>();
   o.next_id_ = 0;
 }
@@ -212,7 +217,6 @@ GraphStore& GraphStore::operator=(GraphStore&& o) noexcept {
   MutexLock lock_second(*second);
   snap_ = std::move(o.snap_);
   next_id_ = o.next_id_;
-  erase_log_ = std::move(o.erase_log_);
   o.snap_ = std::make_shared<StoreSnapshot>();
   o.next_id_ = 0;
   return *this;
@@ -267,7 +271,6 @@ bool GraphStore::Erase(int id) {
   next->epoch_ = snap_->epoch_ + 1;
   next->EraseSlot(slot);
   snap_ = std::move(next);
-  erase_log_.push_back(id);
   OTGED_COUNT("otged_store_erases_total", "graphs erased from the store");
   OTGED_STORE_GAUGES(snap_);
   return true;
@@ -295,21 +298,6 @@ bool GraphStore::Contains(int id) const {
 
 std::shared_ptr<const StoreSnapshot> GraphStore::Snapshot() const {
   MutexLock lock(mu_);
-  OTGED_COUNT("otged_store_snapshot_pins_total",
-              "snapshots pinned by readers");
-  return snap_;
-}
-
-std::shared_ptr<const StoreSnapshot> GraphStore::SnapshotAndErased(
-    size_t* cursor, std::vector<int>* erased) const {
-  OTGED_DCHECK(cursor != nullptr && erased != nullptr);
-  MutexLock lock(mu_);
-  erased->clear();
-  if (*cursor < erase_log_.size()) {
-    erased->assign(erase_log_.begin() + static_cast<long>(*cursor),
-                   erase_log_.end());
-    *cursor = erase_log_.size();
-  }
   OTGED_COUNT("otged_store_snapshot_pins_total",
               "snapshots pinned by readers");
   return snap_;
@@ -348,10 +336,6 @@ bool GraphStore::Restore(std::vector<std::pair<int, Graph>> entries,
   auto next = std::make_shared<StoreSnapshot>();
   next->Append(std::move(fresh));
   MutexLock lock(mu_);
-  // Retire every id that was present: after the swap the same id may name
-  // a different graph, so downstream bound caches must drop it.
-  for (const auto& chunk : snap_->chunks_)
-    for (const auto& e : *chunk) erase_log_.push_back(e->id);
   next->epoch_ = snap_->epoch_ + 1;
   next_id_ = std::max({next_id_, next_id, max_id + 1});
   snap_ = std::move(next);
@@ -359,18 +343,6 @@ bool GraphStore::Restore(std::vector<std::pair<int, Graph>> entries,
               "whole-corpus replacements (persistence loads)");
   OTGED_STORE_GAUGES(snap_);
   return true;
-}
-
-std::vector<int> GraphStore::ErasedSince(size_t* cursor) const {
-  OTGED_DCHECK(cursor != nullptr);
-  MutexLock lock(mu_);
-  std::vector<int> out;
-  if (*cursor < erase_log_.size()) {
-    out.assign(erase_log_.begin() + static_cast<long>(*cursor),
-               erase_log_.end());
-    *cursor = erase_log_.size();
-  }
-  return out;
 }
 
 }  // namespace otged

@@ -16,7 +16,9 @@
 /// sees a consistent corpus — the one tagged with the snapshot's epoch —
 /// no matter how many mutations land meanwhile. Graph ids are stable and
 /// never reused: Insert assigns the next id from a monotone counter, and
-/// Erase retires the id forever.
+/// Erase retires the id forever. Every snapshot also carries a lineage:
+/// Insert/AddAll/Erase keep it, Restore draws a fresh one, so within one
+/// lineage every id always names the same graph.
 #ifndef OTGED_SEARCH_GRAPH_STORE_HPP_
 #define OTGED_SEARCH_GRAPH_STORE_HPP_
 
@@ -108,6 +110,10 @@ class StoreSnapshot {
  public:
   int Size() const { return size_; }
   uint64_t epoch() const { return epoch_; }
+  /// Process-unique tag of the id -> graph binding. A default-constructed
+  /// snapshot draws a fresh one; the copies mutations make keep it, so
+  /// two snapshots with equal lineage never bind one id to two graphs.
+  uint64_t lineage() const { return lineage_; }
 
   int id(int slot) const { return entry(slot).id; }
   const Graph& graph(int slot) const { return entry(slot).graph; }
@@ -151,7 +157,10 @@ class StoreSnapshot {
   /// + 1 chunks however the erases fall.
   void EraseSlot(int slot);
 
+  static uint64_t NextLineage();
+
   uint64_t epoch_ = 0;
+  uint64_t lineage_ = NextLineage();
   int size_ = 0;
   std::vector<std::shared_ptr<const StoreChunk>> chunks_;
   std::vector<int> starts_;  ///< first slot of each chunk
@@ -175,14 +184,14 @@ class GraphStore {
 
   /// Ingests one graph; returns its stable id (never reused).
   int Insert(Graph g) EXCLUDES(mu_);
-  /// Back-compat alias for Insert.
-  int Add(Graph g) { return Insert(std::move(g)); }
   /// Ingests every graph of a dataset, in order, as ONE mutation: ids
   /// are assigned consecutively but a single snapshot (one epoch bump)
   /// is published. The graphs fill the tail chunk and then fresh chunks.
   void AddAll(const std::vector<Graph>& graphs) EXCLUDES(mu_);
   /// Removes the graph with the given id; returns false if absent. The id
-  /// is retired permanently and logged for bound-cache invalidation.
+  /// is retired permanently and the lineage is kept: no later snapshot of
+  /// this lineage binds the id again, so a cached distance for it is
+  /// never read again.
   bool Erase(int id) EXCLUDES(mu_);
 
   /// Number of graphs in the current snapshot.
@@ -197,16 +206,6 @@ class GraphStore {
   /// it) stays alive and immutable while the pointer is held.
   std::shared_ptr<const StoreSnapshot> Snapshot() const EXCLUDES(mu_);
 
-  /// Atomically pins the current snapshot AND drains the erase log into
-  /// `erased` under one lock acquisition, so the drained ids are exactly
-  /// those retired up to the pinned snapshot's epoch. Cache consumers
-  /// need this atomicity: pinning and draining in two steps would let a
-  /// Restore land in between, whose retired ids the caller would consume
-  /// now yet whose rebinding it cannot see — entries it inserts against
-  /// the (older) pinned snapshot would then never be invalidated.
-  std::shared_ptr<const StoreSnapshot> SnapshotAndErased(
-      size_t* cursor, std::vector<int>* erased) const EXCLUDES(mu_);
-
   /// Id-based accessors against the current snapshot. The id must be
   /// present (OTGED_CHECK). References are invalidated by mutations —
   /// concurrent readers must hold a Snapshot() instead.
@@ -215,29 +214,18 @@ class GraphStore {
 
   /// Replaces the whole corpus (persistence load). `entries` must be
   /// strictly increasing by id; invariants are recomputed from scratch.
-  /// Every previously present id is logged as erased so caches keyed on
-  /// this store drop entries whose id might now name a different graph.
+  /// The new snapshot starts a fresh lineage: an id may now name a
+  /// different graph, so caches keyed on this store must flush.
   /// The id counter only moves forward: max(current, next_id, max id + 1).
-  /// Returns false (store unchanged) when the id sequence is invalid.
+  /// Returns false (store and lineage unchanged) when the id sequence is
+  /// invalid.
   bool Restore(std::vector<std::pair<int, Graph>> entries, int next_id)
       EXCLUDES(mu_);
-
-  /// Appends the ids erased since *cursor to the result and advances the
-  /// cursor; starting from a zero cursor replays the full erase history.
-  /// The log is monotone, so independent consumers each keep their own
-  /// cursor. Ids are never reused, which is why consumers may invalidate
-  /// lazily (a stale cache entry can never alias a new graph). The log
-  /// grows for the store's lifetime — one int per Erase, plus the prior
-  /// corpus on Restore — a deliberate trade-off for cursor independence;
-  /// under sustained churn measured in hundreds of millions of erases,
-  /// plan to recycle the store (e.g. via save/load into a fresh one).
-  std::vector<int> ErasedSince(size_t* cursor) const EXCLUDES(mu_);
 
  private:
   mutable Mutex mu_;
   std::shared_ptr<const StoreSnapshot> snap_ GUARDED_BY(mu_);
   int next_id_ GUARDED_BY(mu_) = 0;
-  std::vector<int> erase_log_ GUARDED_BY(mu_);
 };
 
 }  // namespace otged

@@ -89,27 +89,31 @@ std::vector<std::pair<Label, int>> RleLabels(
 void IndexView::RangeCandidates(const GraphInvariants& qi, int tau,
                                 std::vector<int>* out_ids,
                                 IndexStats* stats) const {
+  // This read's counts, mirrored into the global counters and then
+  // merged into `*stats`, which may already hold earlier reads.
+  IndexStats read;
   const size_t first = out_ids->size();
   const double t0 = telemetry::NowUs();
   std::vector<const IndexPartition*> opened;
-  ScreenPartitions(partitions_, qi, tau, &opened, stats);
+  ScreenPartitions(partitions_, qi, tau, &opened, &read);
   const double t1 = telemetry::NowUs();
   const auto query_rle = RleLabels(qi.sorted_labels);
   for (const IndexPartition* part : opened)
-    PartitionLabelCandidates(*part, qi, query_rle, tau, out_ids, stats);
+    PartitionLabelCandidates(*part, qi, query_rle, tau, out_ids, &read);
   // Partitions iterate by (n, m); interleave back to ascending id.
   std::sort(out_ids->begin() + static_cast<long>(first), out_ids->end());
   const double t2 = telemetry::NowUs();
-  stats->partition_us += t1 - t0;
-  stats->label_us += t2 - t1;
+  read.partition_us = t1 - t0;
+  read.label_us = t2 - t1;
+  stats->Merge(read);
 #if OTGED_TELEMETRY_COMPILED
   if (telemetry::Enabled()) {
     const auto& m = Metrics();
     m.queries->Inc();
-    m.candidates->Inc(static_cast<long>(out_ids->size() - first));
-    m.pruned[0]->Inc(stats->partition_pruned);
-    m.pruned[1]->Inc(stats->label_pruned);
-    m.partitions_opened->Inc(stats->partitions_opened);
+    m.candidates->Inc(read.candidates);
+    m.pruned[0]->Inc(read.partition_pruned);
+    m.pruned[1]->Inc(read.label_pruned);
+    m.partitions_opened->Inc(read.partitions_opened);
     m.level_latency[0]->Record(std::lround(t1 - t0));
     m.level_latency[1]->Record(std::lround(t2 - t1));
   }

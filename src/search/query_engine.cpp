@@ -151,19 +151,14 @@ QueryEngine::QueryEngine(const GraphStore* store, const EngineOptions& opt)
 }
 
 std::shared_ptr<const StoreSnapshot> QueryEngine::PinSnapshot() const {
-  // Pin and drain atomically (one store-lock acquisition), then evict.
-  // Atomicity matters for Restore (the one mutation that can rebind an
-  // id): the drained ids are exactly those retired up to the pinned
-  // epoch, so entries for ids the pinned snapshot binds differently are
-  // evicted before any lookup, while a Restore landing after the pin
-  // leaves its log entries for the NEXT query's drain — which also
-  // covers anything this query inserts against the older binding. For
-  // plain Erase the drain is hygiene, not correctness: ids are never
-  // reused, so a stale entry still holds the right distance.
-  if (!use_cache_) return store_->Snapshot();
-  std::vector<int> erased;
-  auto snap = store_->SnapshotAndErased(&erase_cursor_, &erased);
-  cache_.EraseGraphs(erased);
+  // The lineage is read off the pinned snapshot itself, so a Restore
+  // landing after the pin is seen by the next call, which also flushes
+  // whatever this call caches against the older binding.
+  auto snap = store_->Snapshot();
+  if (use_cache_ && snap->lineage() != cache_lineage_) {
+    cache_.Clear();
+    cache_lineage_ = snap->lineage();
+  }
   return snap;
 }
 
@@ -271,12 +266,8 @@ std::vector<std::vector<int>> QueryEngine::Candidates(
                      [&](int64_t i, int worker) {
                        const int u = us[i];
                        std::vector<int> ids;
-                       // Fresh stats per read: RangeCandidates mirrors
-                       // their totals into the global counters.
-                       IndexStats read;
                        c->iview->RangeCandidates(c->ctx[u].qi, tau[u], &ids,
-                                                 &read);
-                       c->index[u].Merge(read);
+                                                 &c->index[u]);
                        cand[i].reserve(ids.size());
                        for (const int id : ids)
                          cand[i].push_back(c->snap->SlotOf(id));

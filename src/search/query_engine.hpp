@@ -23,9 +23,11 @@
 /// sharded LRU bound cache keyed by (query content fingerprint, stable
 /// graph id); repeat queries skip every tier for cached pairs. Only
 /// proven-exact distances are cached — a pure function of the pair — so
-/// warm results stay correct and deterministic for any tau. Entries of an
-/// erased graph are invalidated lazily at the next query (stable ids are
-/// never reused, so stale entries can never alias a new graph).
+/// warm results stay correct and deterministic for any tau, for as long
+/// as each id names the same graph: within one snapshot lineage. The
+/// engine flushes the cache when the snapshot it pins carries a
+/// different lineage than the last one (a Restore, or a store moved in).
+/// An erased graph keeps its entries; they are never looked up again.
 ///
 /// Top-k is a deepening range read over the same candidates and the same
 /// tau-thresholded cascade, at levels t = 0, 1, ...: at each level the
@@ -190,8 +192,8 @@ class QueryEngine {
                           const StoreSnapshot& snap, int slot, int tau,
                           CascadeStats* stats) const;
 
-  /// Pins the current snapshot, first draining the store's erase log into
-  /// cache invalidations.
+  /// Pins the current snapshot; flushes the bound cache first when the
+  /// snapshot's lineage differs from the one the cache was filled under.
   std::shared_ptr<const StoreSnapshot> PinSnapshot() const
       REQUIRES(serve_mu_);
 
@@ -230,7 +232,7 @@ class QueryEngine {
   mutable Mutex serve_mu_;  ///< one call at a time on the pool
   bool use_cache_;
   mutable BoundCache cache_;
-  mutable size_t erase_cursor_ GUARDED_BY(serve_mu_) = 0;
+  mutable uint64_t cache_lineage_ GUARDED_BY(serve_mu_) = 0;
 };
 
 }  // namespace otged

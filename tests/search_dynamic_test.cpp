@@ -1,7 +1,7 @@
 /// \file search_dynamic_test.cpp
 /// \brief Dynamic GraphStore semantics: stable ids, snapshot isolation,
-/// the erase log, Restore validation, chunked snapshots against a plain
-/// vector model, the bound cache — and a
+/// snapshot lineage, Restore validation, chunked snapshots against a
+/// plain vector model, the bound cache and its flush on a Restore — and a
 /// linearizability-style hammer test interleaving insert/erase with
 /// range queries, asserting every result is exact for the consistent
 /// corpus its reported epoch names. The hammer test is written to be
@@ -95,22 +95,34 @@ TEST(DynamicGraphStoreTest, SnapshotIsolation) {
   EXPECT_FALSE(store.Contains(1));
 }
 
-TEST(DynamicGraphStoreTest, ErasedSinceReplaysTheLog) {
+TEST(DynamicGraphStoreTest, OnlyRestoreChangesTheLineage) {
   Rng rng(13);
   GraphStore store;
+  const uint64_t lineage = store.Snapshot()->lineage();
   for (int i = 0; i < 6; ++i) store.Insert(AidsLikeGraph(&rng, 3, 6));
-  size_t cursor = 0;
-  EXPECT_TRUE(store.ErasedSince(&cursor).empty());
-
+  store.AddAll({AidsLikeGraph(&rng, 3, 6)});
   store.Erase(3);
-  store.Erase(0);
-  EXPECT_EQ(store.ErasedSince(&cursor), (std::vector<int>{3, 0}));
-  EXPECT_TRUE(store.ErasedSince(&cursor).empty());  // cursor advanced
-  store.Erase(5);
-  EXPECT_EQ(store.ErasedSince(&cursor), (std::vector<int>{5}));
+  EXPECT_EQ(store.Snapshot()->lineage(), lineage);
 
-  size_t fresh_cursor = 0;  // independent consumers replay from zero
-  EXPECT_EQ(store.ErasedSince(&fresh_cursor), (std::vector<int>{3, 0, 5}));
+  // Every store starts its own lineage.
+  GraphStore other;
+  EXPECT_NE(other.Snapshot()->lineage(), lineage);
+
+  std::vector<std::pair<int, Graph>> same;
+  same.emplace_back(0, store.graph(0));
+  ASSERT_TRUE(store.Restore(std::move(same), store.NextId()));
+  const uint64_t restored = store.Snapshot()->lineage();
+  EXPECT_NE(restored, lineage);
+  store.Insert(AidsLikeGraph(&rng, 3, 6));
+  EXPECT_EQ(store.Snapshot()->lineage(), restored);
+
+  // A moved-in store brings its lineage; the moved-from one starts anew.
+  // (A moved-from store is valid and empty.)
+  const uint64_t moved = other.Snapshot()->lineage();
+  store = std::move(other);
+  EXPECT_EQ(store.Snapshot()->lineage(), moved);
+  EXPECT_NE(other.Snapshot()->lineage(), moved);
+  EXPECT_NE(other.Snapshot()->lineage(), restored);
 }
 
 TEST(DynamicGraphStoreTest, RestoreRejectsNonIncreasingIds) {
@@ -118,11 +130,13 @@ TEST(DynamicGraphStoreTest, RestoreRejectsNonIncreasingIds) {
   GraphStore store;
   store.Insert(AidsLikeGraph(&rng, 3, 6));
   Graph a = AidsLikeGraph(&rng, 3, 6), b = AidsLikeGraph(&rng, 3, 6);
+  const uint64_t lineage = store.Snapshot()->lineage();
   std::vector<std::pair<int, Graph>> bad;
   bad.emplace_back(7, a);
   bad.emplace_back(7, b);
   EXPECT_FALSE(store.Restore(std::move(bad), 10));
   EXPECT_EQ(store.Size(), 1);  // untouched
+  EXPECT_EQ(store.Snapshot()->lineage(), lineage);
 
   std::vector<std::pair<int, Graph>> good;
   good.emplace_back(3, a);
@@ -132,9 +146,8 @@ TEST(DynamicGraphStoreTest, RestoreRejectsNonIncreasingIds) {
   EXPECT_TRUE(store.Contains(3));
   EXPECT_TRUE(store.Contains(9));
   EXPECT_EQ(store.NextId(), 10);  // max(old counter, given, max id + 1)
-  // The old corpus' ids were logged so caches can drop them.
-  size_t cursor = 0;
-  EXPECT_EQ(store.ErasedSince(&cursor), (std::vector<int>{0}));
+  // Id 3 may now name a different graph, so caches must see a new lineage.
+  EXPECT_NE(store.Snapshot()->lineage(), lineage);
 }
 
 /// The store's id -> graph contents as a plain vector: (id, index into
@@ -273,7 +286,7 @@ TEST(DynamicGraphStoreTest, ChunkedSnapshotsMatchAVectorModel) {
   ExpectSnapshotMatches(*pinned, pinned_model, pool, pinned_next_id, &rng);
 }
 
-TEST(BoundCacheTest, InsertLookupEraseAndEvict) {
+TEST(BoundCacheTest, InsertLookupEvictAndClear) {
   BoundCache cache(/*capacity=*/16);  // 1 entry per shard
   EXPECT_FALSE(cache.Lookup(42, 0).has_value());
   cache.Insert(42, 0, 3);
@@ -282,10 +295,6 @@ TEST(BoundCacheTest, InsertLookupEraseAndEvict) {
   EXPECT_EQ(*cache.Lookup(42, 0), 3);
   EXPECT_EQ(*cache.Lookup(42, 1), 5);
   EXPECT_EQ(cache.Size(), 2u);
-
-  cache.EraseGraph(0);
-  EXPECT_FALSE(cache.Lookup(42, 0).has_value());
-  EXPECT_TRUE(cache.Lookup(42, 1).has_value());
 
   // Re-insert updates in place; distinct fingerprints are distinct keys.
   cache.Insert(42, 1, 4);
@@ -302,9 +311,10 @@ TEST(BoundCacheTest, InsertLookupEraseAndEvict) {
   EXPECT_FALSE(cache.Lookup(43, 1).has_value());
 }
 
-/// Serving keeps caching across mutations: a pair proven exact before an
-/// unrelated erase is still answered from the cache afterwards, while the
-/// erased graph's entries are dropped at the next query.
+/// Serving keeps caching across mutations: Insert and Erase keep the
+/// lineage, so a pair proven exact before an erase is still answered from
+/// the cache afterwards and the cache keeps every entry, the erased
+/// graph's included (no later snapshot looks them up).
 TEST(DynamicQueryTest, CacheSurvivesUnrelatedMutations) {
   Rng rng(23);
   GraphStore store;
@@ -323,7 +333,7 @@ TEST(DynamicQueryTest, CacheSurvivesUnrelatedMutations) {
   EXPECT_TRUE(store.Erase(7));
   RangeResult warm = engine.Range(query, 2);
   EXPECT_GT(warm.stats.cascade.cache_hits, 0);
-  EXPECT_LE(engine.CacheSize(), cached);  // id 7's entries were dropped
+  EXPECT_GE(engine.CacheSize(), cached);  // nothing was flushed
   // Same answer minus any id-7 hit.
   std::vector<int> expected;
   for (const RangeHit& h : cold.hits)
@@ -331,6 +341,58 @@ TEST(DynamicQueryTest, CacheSurvivesUnrelatedMutations) {
   std::vector<int> got;
   for (const RangeHit& h : warm.hits) got.push_back(h.id);
   EXPECT_EQ(got, expected);
+}
+
+void ExpectSameHits(const std::vector<SearchHit>& got,
+                    const std::vector<SearchHit>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << i;
+    EXPECT_EQ(got[i].ged, want[i].ged) << i;
+    EXPECT_EQ(got[i].exact_distance, want[i].exact_distance) << i;
+    EXPECT_EQ(got[i].lb, want[i].lb) << i;
+  }
+}
+
+/// A Restore that binds the same ids to other graphs starts a new
+/// lineage, and the engine flushes the distances it cached under the old
+/// binding: warm answers equal a cache-less engine's on the same snapshot.
+TEST(DynamicQueryTest, RestoreRebindingIdsFlushesTheCache) {
+  Rng rng(29);
+  const Graph query = RandomConnectedGraph(4, 1, 2, &rng);
+  std::vector<Graph> near, far;
+  for (int i = 0; i < 4; ++i) {
+    near.push_back(query);
+    far.push_back(AidsLikeGraph(&rng, 8, 9));
+  }
+  // Corpus A binds ids 0-3 to copies of the query and ids 4-7 to far
+  // graphs; corpus B swaps the two halves.
+  GraphStore store;
+  store.AddAll(near);
+  store.AddAll(far);
+  EngineOptions opt;
+  opt.num_threads = 2;
+  QueryEngine engine(&store, opt);
+  // Top-k over the whole corpus proves every pair's exact distance.
+  ASSERT_EQ(engine.TopK(query, 8).hits.size(), 8u);
+  ASSERT_EQ(engine.Range(query, 1).hits.size(), 4u);
+  ASSERT_GE(engine.CacheSize(), 8u);
+
+  std::vector<std::pair<int, Graph>> swapped;
+  for (int i = 0; i < 4; ++i) swapped.emplace_back(i, far[i]);
+  for (int i = 0; i < 4; ++i) swapped.emplace_back(4 + i, near[i]);
+  ASSERT_TRUE(store.Restore(std::move(swapped), store.NextId()));
+
+  EngineOptions cold_opt = opt;
+  cold_opt.use_bound_cache = false;
+  QueryEngine cold(&store, cold_opt);
+  const RangeResult range = engine.Range(query, 1);
+  ExpectSameHits(range.hits, cold.Range(query, 1).hits);
+  EXPECT_EQ(range.stats.cascade.cache_hits, 0);
+  ASSERT_EQ(range.hits.size(), 4u);
+  EXPECT_EQ(range.hits.front().id, 4);
+  ExpectSameHits(engine.TopK(query, 2).hits, cold.TopK(query, 2).hits);
+  ExpectSameHits(engine.TopK(query, 6).hits, cold.TopK(query, 6).hits);
 }
 
 /// The hammer: one mutator thread inserts and erases graphs while two

@@ -4,12 +4,14 @@
 /// while query threads pull snapshot-consistent views and cross-check
 /// indexed candidate sets against a brute-force scan of the very
 /// snapshot each view was built for — a torn view or a stale posting
-/// would drop a true candidate. A second test hammers the full engine
-/// and verifies every served range and top-k answer against per-epoch
-/// exact ground truth.
+/// would drop a true candidate. A second test hammers the full engine,
+/// bound cache on, with a mutator that also Restores corpora rebinding
+/// ids to other graphs, and verifies every served range and top-k answer
+/// against per-epoch exact ground truth.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -94,16 +96,23 @@ TEST(IndexHammerTest, ConcurrentViewsMatchTheirSnapshots) {
   querier1.join();
 }
 
-/// The engine-level hammer: indexed range queries racing one mutator
-/// must return the exact brute-force answer for the corpus at their
-/// reported epoch.
+/// The engine-level hammer: indexed range and top-k queries racing one
+/// mutator must return the exact brute-force answer for the corpus at
+/// their reported epoch. The mutator inserts and erases extras and every
+/// third step Restores the base ids bound to the other of two graph
+/// sets, so a distance the bound cache kept across a Restore would show.
+/// After each mutation it waits for two more reads, and the queriers
+/// serve until it is done, so reads land between the mutations.
 TEST(IndexHammerTest, IndexedServingIsExactAtEveryEpoch) {
   constexpr int kBase = 12, kExtras = 14, kQueries = 5, kRounds = 4;
   constexpr int kTau = 2, kK = 3;
   Rng rng(191);
 
+  // Universe: base ids 0..kBase-1 bind to universe [0, kBase) or to
+  // [kBase, 2 * kBase); the i-th extra is universe 2 * kBase + i and
+  // gets id kBase + i (one mutator; Restore keeps the id counter).
   std::vector<Graph> universe;
-  for (int i = 0; i < kBase + kExtras; ++i)
+  for (int i = 0; i < 2 * kBase + kExtras; ++i)
     universe.push_back(AidsLikeGraph(&rng, 3, 6));
   std::vector<Graph> queries;
   for (int q = 0; q < kQueries; ++q)
@@ -117,32 +126,53 @@ TEST(IndexHammerTest, IndexedServingIsExactAtEveryEpoch) {
   GraphStore store;
   for (int i = 0; i < kBase; ++i) store.Insert(universe[i]);
 
+  // Epoch -> (id, universe index) of every graph present.
+  using Binding = std::vector<std::pair<int, int>>;
   std::mutex epochs_mu;
-  std::map<uint64_t, std::vector<int>> epoch_sets;
-  std::vector<int> base_ids(kBase);
-  for (int i = 0; i < kBase; ++i) base_ids[i] = i;
-  epoch_sets[store.Epoch()] = base_ids;
+  std::map<uint64_t, Binding> epoch_sets;
+  Binding base;
+  for (int i = 0; i < kBase; ++i) base.emplace_back(i, i);
+  epoch_sets[store.Epoch()] = base;
 
   EngineOptions opt;
   opt.num_threads = 2;
   QueryEngine engine(&store, opt);
 
-  std::thread mutator([&] {
-    for (int i = 0; i < kExtras; ++i) {
-      const int id = store.Insert(universe[kBase + i]);
-      ASSERT_EQ(id, kBase + i);
+  std::atomic<int> reads{0};
+  std::atomic<bool> mutated{false};
+  // A failed ASSERT returns from `mutate` only, so `mutated` is always set.
+  const auto mutate = [&] {
+    const auto record = [&](Binding present) {
       {
         std::lock_guard<std::mutex> lock(epochs_mu);
-        std::vector<int> present = base_ids;
-        present.push_back(id);
         epoch_sets[store.Epoch()] = std::move(present);
       }
-      ASSERT_TRUE(store.Erase(id));
-      {
-        std::lock_guard<std::mutex> lock(epochs_mu);
-        epoch_sets[store.Epoch()] = base_ids;
+      const int seen = reads.load(std::memory_order_relaxed);
+      while (reads.load(std::memory_order_relaxed) < seen + 2)
+        std::this_thread::yield();
+    };
+    for (int i = 0; i < kExtras; ++i) {
+      if (i % 3 == 2) {
+        std::vector<std::pair<int, Graph>> entries;
+        for (auto& [id, u] : base) {
+          u = u < kBase ? u + kBase : u - kBase;
+          entries.emplace_back(id, universe[static_cast<size_t>(u)]);
+        }
+        ASSERT_TRUE(store.Restore(std::move(entries), store.NextId()));
+        record(base);
       }
+      const int id = store.Insert(universe[2 * kBase + i]);
+      ASSERT_EQ(id, kBase + i);
+      Binding present = base;
+      present.emplace_back(id, 2 * kBase + i);
+      record(std::move(present));
+      ASSERT_TRUE(store.Erase(id));
+      record(base);
     }
+  };
+  std::thread mutator([&] {
+    mutate();
+    mutated.store(true, std::memory_order_relaxed);
   });
 
   struct Observation {
@@ -153,9 +183,12 @@ TEST(IndexHammerTest, IndexedServingIsExactAtEveryEpoch) {
   };
   std::vector<std::vector<Observation>> observed(2);
   auto serve = [&](int worker) {
-    for (int round = 0; round < kRounds; ++round) {
+    for (int round = 0;
+         round < kRounds || !mutated.load(std::memory_order_relaxed);
+         ++round) {
       for (int q = 0; q < kQueries; ++q) {
         RangeResult res = engine.Range(queries[q], kTau);
+        reads.fetch_add(1, std::memory_order_relaxed);
         EXPECT_EQ(res.stats.index.scanned,
                   res.stats.index.candidates +
                       res.stats.index.PrunedTotal());
@@ -164,6 +197,7 @@ TEST(IndexHammerTest, IndexedServingIsExactAtEveryEpoch) {
         observed[static_cast<size_t>(worker)].push_back(std::move(obs));
         // Top-k deepens through the same index views, one per level.
         TopKResult top = engine.TopK(queries[q], kK);
+        reads.fetch_add(1, std::memory_order_relaxed);
         Observation tobs{q, top.stats.epoch, {}, {}};
         for (const TopKHit& h : top.hits) {
           EXPECT_TRUE(h.exact_distance);
@@ -187,8 +221,8 @@ TEST(IndexHammerTest, IndexedServingIsExactAtEveryEpoch) {
       const std::vector<int>& dist = exact[static_cast<size_t>(obs.query)];
       if (!obs.topk.empty()) {
         std::vector<std::pair<int, int>> nearest;  ///< (ged, id)
-        for (int id : it->second)
-          nearest.emplace_back(dist[static_cast<size_t>(id)], id);
+        for (const auto& [id, u] : it->second)
+          nearest.emplace_back(dist[static_cast<size_t>(u)], id);
         std::sort(nearest.begin(), nearest.end());
         nearest.resize(std::min<size_t>(kK, nearest.size()));
         std::vector<std::pair<int, int>> expected;  ///< (id, ged)
@@ -198,8 +232,8 @@ TEST(IndexHammerTest, IndexedServingIsExactAtEveryEpoch) {
         continue;
       }
       std::vector<int> expected;
-      for (int id : it->second)
-        if (dist[static_cast<size_t>(id)] <= kTau) expected.push_back(id);
+      for (const auto& [id, u] : it->second)
+        if (dist[static_cast<size_t>(u)] <= kTau) expected.push_back(id);
       EXPECT_EQ(obs.hit_ids, expected)
           << "query " << obs.query << " at epoch " << obs.epoch;
     }

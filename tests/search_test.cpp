@@ -33,7 +33,7 @@ GraphStore MakeSmallStore(int count, int num_labels, uint64_t seed) {
   Rng rng(seed);
   GraphStore store;
   for (int i = 0; i < count; ++i) {
-    store.Add(RandomConnectedGraph(rng.UniformInt(3, 7),
+    store.Insert(RandomConnectedGraph(rng.UniformInt(3, 7),
                                    rng.UniformInt(0, 3), num_labels, &rng));
   }
   return store;
@@ -43,7 +43,7 @@ TEST(GraphStoreTest, InvariantsMatchGraph) {
   Rng rng(3);
   Graph g = AidsLikeGraph(&rng, 4, 9);
   GraphStore store;
-  int id = store.Add(g);
+  int id = store.Insert(g);
   const GraphInvariants& inv = store.invariants(id);
   EXPECT_EQ(inv.num_nodes, g.NumNodes());
   EXPECT_EQ(inv.num_edges, g.NumEdges());
@@ -249,7 +249,7 @@ TEST(QueryEngineTest, FindsIdenticalGraphAtDistanceZero) {
   GraphStore store = MakeSmallStore(20, 2, 13);
   Rng rng(1);
   Graph needle = AidsLikeGraph(&rng, 5, 8);
-  int id = store.Add(needle);
+  int id = store.Insert(needle);
   QueryEngine engine(&store, {});
   TopKResult res = engine.TopK(needle, 1);
   ASSERT_EQ(res.hits.size(), 1u);
@@ -446,7 +446,7 @@ TEST(QueryEngineTest, CascadeTiersActuallyPrune) {
   Rng rng(31);
   GraphStore store;
   for (int i = 0; i < 60; ++i)
-    store.Add(PowerLawGraph(rng.UniformInt(8, 24), rng.UniformInt(1, 3),
+    store.Insert(PowerLawGraph(rng.UniformInt(8, 24), rng.UniformInt(1, 3),
                             &rng));
   EngineOptions opt;
   opt.cascade.exact_budget = 50'000;  // keep the verify tier test-sized

@@ -265,6 +265,27 @@ constexpr NamedField kCascadeFields[] = {
     {"otged_cascade_cache_hits_total", &CascadeStats::cache_hits},
 };
 
+/// The index counters must have moved by exactly the summed IndexStats.
+void ExpectIndexCountersMatch(const telemetry::MetricsSnapshot& before,
+                              const telemetry::MetricsSnapshot& after,
+                              const IndexStats& itotal) {
+  const struct {
+    const char* counter;
+    long expected;
+  } index_rows[] = {
+      {"otged_index_candidates_total", itotal.candidates},
+      {"otged_index_pruned_total{level=\"partition\"}",
+       itotal.partition_pruned},
+      {"otged_index_pruned_total{level=\"label\"}", itotal.label_pruned},
+      {"otged_index_partitions_opened_total", itotal.partitions_opened},
+  };
+  for (const auto& row : index_rows)
+    EXPECT_EQ(after.CounterValue(row.counter, 0) -
+                  before.CounterValue(row.counter, 0),
+              row.expected)
+        << row.counter;
+}
+
 TEST(TelemetryEndToEndTest, CascadeCountersReconcileWithQueryStats) {
   telemetry::SetEnabled(true);
   Rng rng(1234);
@@ -308,22 +329,36 @@ TEST(TelemetryEndToEndTest, CascadeCountersReconcileWithQueryStats) {
               total.*nf.field)
         << nf.counter;
   // The index counters reconcile with the summed IndexStats the same way.
-  const struct {
-    const char* counter;
-    long expected;
-  } index_rows[] = {
-      {"otged_index_candidates_total", itotal.candidates},
-      {"otged_index_pruned_total{level=\"partition\"}",
-       itotal.partition_pruned},
-      {"otged_index_pruned_total{level=\"label\"}", itotal.label_pruned},
-      {"otged_index_partitions_opened_total", itotal.partitions_opened},
-  };
   ASSERT_GT(itotal.scanned, 0);
-  for (const auto& row : index_rows)
-    EXPECT_EQ(after.CounterValue(row.counter, 0) -
-                  before.CounterValue(row.counter, 0),
-              row.expected)
-        << row.counter;
+  ExpectIndexCountersMatch(before, after, itotal);
+}
+
+/// RangeCandidates mirrors only its own read into the index counters, so
+/// a caller may accumulate several reads into one IndexStats.
+TEST(TelemetryEndToEndTest, IndexCountersCountEachReadOnceIntoReusedStats) {
+  telemetry::SetEnabled(true);
+  Rng rng(4321);
+  GraphStore store;
+  std::vector<Graph> graphs;
+  for (int i = 0; i < 80; ++i) graphs.push_back(AidsLikeGraph(&rng, 3, 10));
+  store.AddAll(graphs);
+  GraphIndex index;
+  const std::shared_ptr<const IndexView> view =
+      index.ViewFor(store.Snapshot());
+  const GraphInvariants qi = ComputeInvariants(AidsLikeGraph(&rng, 5, 7));
+
+  telemetry::MetricsSnapshot before = telemetry::Registry().Snapshot();
+  std::vector<int> ids;
+  IndexStats stats;
+  view->RangeCandidates(qi, 1, &ids, &stats);
+  // The first read's counts must be nonzero for a re-count to show.
+  ASSERT_GT(stats.partition_pruned, 0);
+  ASSERT_GT(stats.label_pruned, 0);
+  ASSERT_GT(stats.partitions_opened, 0);
+  view->RangeCandidates(qi, 2, &ids, &stats);
+  telemetry::MetricsSnapshot after = telemetry::Registry().Snapshot();
+  EXPECT_EQ(stats.candidates, static_cast<long>(ids.size()));
+  ExpectIndexCountersMatch(before, after, stats);
 }
 
 /// Samples recorded so far in the histogram of that full name (0 before
@@ -378,7 +413,7 @@ TEST(TelemetryEndToEndTest, TraceEventsMatchCandidateDecisions) {
 
   Rng rng(77);
   GraphStore store;
-  for (int i = 0; i < 40; ++i) store.Add(AidsLikeGraph(&rng, 4, 9));
+  for (int i = 0; i < 40; ++i) store.Insert(AidsLikeGraph(&rng, 4, 9));
   QueryEngine engine(&store, {});
   std::vector<Graph> queries;
   for (int q = 0; q < 3; ++q) queries.push_back(AidsLikeGraph(&rng, 4, 9));
@@ -429,7 +464,7 @@ TEST(TelemetryEndToEndTest, TraceEventsMatchCandidateDecisions) {
 TEST(TelemetryEndToEndTest, BatchQueriesReportIndividualWallTimes) {
   Rng rng(55);
   GraphStore store;
-  for (int i = 0; i < 50; ++i) store.Add(AidsLikeGraph(&rng, 4, 10));
+  for (int i = 0; i < 50; ++i) store.Insert(AidsLikeGraph(&rng, 4, 10));
   EngineOptions opt;
   opt.num_threads = 4;
   QueryEngine engine(&store, opt);
