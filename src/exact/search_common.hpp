@@ -10,8 +10,8 @@
 ///                at once; Child copies and recomputes the heuristic.
 ///   DfsState     one mutable do/undo state in structure-of-arrays
 ///                layout (flat map1to2/map2to1, incremental label
-///                remainders and edge counters) for the depth-first
-///                branch-and-bound: Push/Pop are O(1) via
+///                remainders, remaining-edge and cut-edge counters) for
+///                the depth-first branch-and-bound: Push/Pop are O(1) via
 ///                bit-parallel neighbor masks and the heuristic is O(1),
 ///                against the O(n + m) recompute SearchState pays per
 ///                Child.
@@ -26,7 +26,9 @@
 /// already prunes, and insertion-sorts the survivors as packed
 /// `delta << 6 | v` keys. A child that survives the O(1) bound is then
 /// checked against the anchor-aware bound (Searcher::AnchorHeuristic),
-/// which prices the edges to already-mapped nodes.
+/// which prices the edges to already-mapped nodes. Its edge-count term
+/// is O(1) from the cut-edge counters; only a state that term does not
+/// prune pays for the per-node min table.
 ///
 /// Not part of the public API.
 #ifndef OTGED_EXACT_SEARCH_COMMON_HPP_
@@ -54,6 +56,7 @@ struct SearchContext {
   std::vector<int> order;               // depth -> G1 node
   std::vector<int> g1_label, g2_label;  // compacted label ids
   std::vector<uint64_t> adj1_mask, adj2_mask;  // per-node neighbor bitsets
+  std::vector<int> deg1, deg2;                 // per-node degrees
   std::vector<uint64_t> order_prefix;  // [d] = G1 nodes mapped at depth d
   uint64_t all1 = 0;          // bitmask of every G1 node
   uint64_t all2 = 0;          // bitmask of every G2 node
@@ -88,11 +91,17 @@ struct SearchContext {
       return x < y;
     });
     adj1_mask.assign(static_cast<size_t>(n1), 0);
-    for (int u = 0; u < n1; ++u)
+    deg1.resize(static_cast<size_t>(n1));
+    for (int u = 0; u < n1; ++u) {
       for (int w : g1.Neighbors(u)) adj1_mask[u] |= 1ull << w;
+      deg1[u] = g1.Degree(u);
+    }
     adj2_mask.assign(static_cast<size_t>(n2), 0);
-    for (int v = 0; v < n2; ++v)
+    deg2.resize(static_cast<size_t>(n2));
+    for (int v = 0; v < n2; ++v) {
       for (int x : g2.Neighbors(v)) adj2_mask[v] |= 1ull << x;
+      deg2[v] = g2.Degree(v);
+    }
     order_prefix.assign(static_cast<size_t>(n1) + 1, 0);
     for (int d = 0; d < n1; ++d)
       order_prefix[d + 1] = order_prefix[d] | (1ull << order[d]);
@@ -116,8 +125,9 @@ struct SearchState {
 /// Mutable depth-first state in structure-of-arrays layout. One DfsState
 /// serves a whole DFS: the branch-and-bound Pushes/Pops along the
 /// current path instead of copying states, and every quantity the
-/// admissible heuristic needs (label remainders, remaining-edge counts)
-/// is maintained incrementally. `path_v`/`path_delta` are the undo log.
+/// admissible heuristic needs (label remainders, remaining-edge and
+/// cut-edge counts) is maintained incrementally. `path_v`/`path_delta`
+/// are the undo log.
 struct DfsState {
   std::vector<int> map1to2;     ///< G1 node -> G2 node, -1 unmapped
   std::vector<int> map2to1;     ///< G2 node -> G1 node, -1 unmapped
@@ -134,6 +144,8 @@ struct DfsState {
   int surplus = 0;  ///< sum_l max(0, c1_rem[l] - c2_rem[l])
   int m1_rem = 0;   ///< G1 edges with at least one unmapped endpoint
   int m2_rem = 0;   ///< G2 edges with at least one unmapped endpoint
+  int cut1 = 0;     ///< G1 edges with exactly one mapped endpoint
+  int cut2 = 0;     ///< G2 edges with exactly one mapped endpoint
 };
 
 /// Incremental cost/heuristic evaluator shared by the searches.
@@ -291,6 +303,9 @@ class Searcher {
   /// applies the two label decrements in sequence: removing an unmapped
   /// G1 node of label a lowers the surplus iff a was oversubscribed, and
   /// removing an unmapped G2 node of label b raises it iff b was not.
+  /// Mapping a node with `in` mapped neighbours closes those `in` cut
+  /// edges and cuts its other deg - in, so each cut counter moves by
+  /// deg - 2 * in.
   // otged-lint: hot-path
   void Push(DfsState* s, int v, int delta) const {
     const int u = ctx_.order[s->depth];
@@ -299,9 +314,13 @@ class Searcher {
     --s->c1_rem[a];
     if (s->c1_rem[b] >= s->c2_rem[b]) ++s->surplus;
     --s->c2_rem[b];
-    s->m1_rem -=
+    const int in1 =
         std::popcount(ctx_.adj1_mask[u] & ctx_.order_prefix[s->depth]);
-    s->m2_rem -= std::popcount(ctx_.adj2_mask[v] & s->used);
+    const int in2 = std::popcount(ctx_.adj2_mask[v] & s->used);
+    s->m1_rem -= in1;
+    s->m2_rem -= in2;
+    s->cut1 += ctx_.deg1[u] - 2 * in1;
+    s->cut2 += ctx_.deg2[v] - 2 * in2;
     for (uint64_t m = ctx_.adj1_mask[u] & ~ctx_.order_prefix[s->depth + 1];
          m != 0; m &= m - 1)
       s->anchor[std::countr_zero(m)] |= 1ull << v;
@@ -377,9 +396,13 @@ class Searcher {
     for (uint64_t m = ctx_.adj1_mask[u] & ~ctx_.order_prefix[s->depth + 1];
          m != 0; m &= m - 1)
       s->anchor[std::countr_zero(m)] &= ~(1ull << v);
-    s->m1_rem +=
+    const int in1 =
         std::popcount(ctx_.adj1_mask[u] & ctx_.order_prefix[s->depth]);
-    s->m2_rem += std::popcount(ctx_.adj2_mask[v] & s->used);
+    const int in2 = std::popcount(ctx_.adj2_mask[v] & s->used);
+    s->cut2 -= ctx_.deg2[v] - 2 * in2;
+    s->cut1 -= ctx_.deg1[u] - 2 * in1;
+    s->m2_rem += in2;
+    s->m1_rem += in1;
     const int a = ctx_.g1_label[u], b = ctx_.g2_label[v];
     ++s->c2_rem[b];
     if (s->c1_rem[b] >= s->c2_rem[b]) --s->surplus;
@@ -404,37 +427,31 @@ class Searcher {
   /// free-free edges onto free-free pairs. An unmapped G1 node u sent to
   /// an unmapped G2 node w pays at least |A(u) ^ B(w)| on its anchored
   /// edges, with A(u) the images of u's mapped neighbours and
-  /// B(w) = N2(w) & used; the free-free edges pay at least |ff1 - ff2|.
-  /// With the node terms of HeuristicOf:
-  ///   surplus + (n2 - n1) + sum_u min_w |A(u) ^ B(w)| + |ff1 - ff2|.
+  /// B(w) = N2(w) & used; the free-free edges pay at least |ff1 - ff2|,
+  /// where ff = m_rem - cut (the anchored edges are exactly the cut
+  /// ones). With the node terms of HeuristicOf:
+  ///   surplus + (n2 - n1) + |ff1 - ff2| + sum_u min_w |A(u) ^ B(w)|.
   /// Only edge existence is priced and a relabel never costs less than 0,
   /// so the bound is admissible on edge-labeled pairs too. It is neither
   /// above nor below HeuristicOf in general (it ignores the anchored
-  /// edges of G2 nodes left unmatched), so callers check both. Summing
-  /// stops once the value reaches `cap`; the result is then >= cap.
-  /// O(n1 * n2) popcounts; meant for states the O(1) bound did not prune.
+  /// edges of G2 nodes left unmatched), so callers check both. The first
+  /// three terms are O(1) from the counters; once they reach `cap` the
+  /// call returns them, and otherwise summing the min table (O(n1 * n2)
+  /// popcounts at worst) stops once the value reaches `cap`. Either way
+  /// the result is >= cap exactly when the full sum is.
   // otged-lint: hot-path
   int AnchorHeuristic(const DfsState& s, int cap) const {
-    const uint64_t free1 = ctx_.all1 & ~ctx_.order_prefix[s.depth];
-    uint64_t b[kMaxExactNodes];  // the non-empty B(w) of unmapped w
-    int nb = 0, anchored1 = 0, anchored2 = 0;
-    bool empty_b = false;  // some unmapped w has B(w) == 0
-    for (uint64_t m = ctx_.all2 & ~s.used; m != 0; m &= m - 1) {
-      const uint64_t bw = ctx_.adj2_mask[std::countr_zero(m)] & s.used;
-      anchored2 += std::popcount(bw);
-      if (bw == 0) {
-        empty_b = true;
-      } else {
-        b[nb++] = bw;
-      }
-    }
-    for (uint64_t m = free1; m != 0; m &= m - 1)
-      anchored1 += std::popcount(s.anchor[std::countr_zero(m)]);
     int h = s.surplus + (ctx_.n2 - ctx_.n1) +
-            std::abs((s.m1_rem - anchored1) - (s.m2_rem - anchored2));
-    for (uint64_t m = free1; m != 0 && h < cap; m &= m - 1) {
+            std::abs((s.m1_rem - s.cut1) - (s.m2_rem - s.cut2));
+    if (h >= cap) return h;
+    uint64_t b[kMaxExactNodes];  // B(w) of every unmapped w
+    int nb = 0;
+    for (uint64_t m = ctx_.all2 & ~s.used; m != 0; m &= m - 1)
+      b[nb++] = ctx_.adj2_mask[std::countr_zero(m)] & s.used;
+    for (uint64_t m = ctx_.all1 & ~ctx_.order_prefix[s.depth];
+         m != 0 && h < cap; m &= m - 1) {
       const uint64_t a = s.anchor[std::countr_zero(m)];
-      int best = empty_b ? std::popcount(a) : kMaxExactNodes;
+      int best = kMaxExactNodes;
       for (int i = 0; i < nb && best > 0; ++i)
         best = std::min(best, std::popcount(a ^ b[i]));
       h += best;

@@ -1,7 +1,8 @@
 #include "heuristics/bipartite.hpp"
 
 #include <algorithm>
-#include <map>
+#include <cstdlib>
+#include <vector>
 
 #include "assignment/hungarian.hpp"
 #include "assignment/lapjv.hpp"
@@ -10,17 +11,48 @@ namespace otged {
 
 namespace {
 
-// Multiset difference size between the neighbor-label multisets of u in g1
-// and v in g2: a lower bound on incident-edge substitutions.
-int NeighborLabelDiff(const Graph& g1, int u, const Graph& g2, int v) {
-  std::map<Label, int> count;
-  for (int w : g1.Neighbors(u)) count[g1.label(w)]++;
-  for (int x : g2.Neighbors(v)) count[g2.label(x)]--;
-  int surplus = 0, deficit = 0;
-  for (const auto& [l, c] : count) {
-    if (c > 0) surplus += c;
-    else deficit -= c;
+// Every node's neighbour labels, sorted, in one flat array: node v's list
+// is labels[offset[v] .. offset[v + 1]).
+struct NeighborLabels {
+  std::vector<Label> labels;
+  std::vector<int> offset;
+};
+
+NeighborLabels SortedNeighborLabels(const Graph& g) {
+  NeighborLabels nl;
+  nl.labels.reserve(2 * static_cast<size_t>(g.NumEdges()));
+  nl.offset.reserve(static_cast<size_t>(g.NumNodes()) + 1);
+  nl.offset.push_back(0);
+  for (int v = 0; v < g.NumNodes(); ++v) {
+    for (int w : g.Neighbors(v)) nl.labels.push_back(g.label(w));
+    std::sort(nl.labels.begin() + nl.offset.back(), nl.labels.end());
+    nl.offset.push_back(static_cast<int>(nl.labels.size()));
   }
+  return nl;
+}
+
+// Multiset difference size between the neighbor-label multisets of u in g1
+// and v in g2, by one merge walk over their sorted lists: a lower bound
+// on incident-edge substitutions.
+int NeighborLabelDiff(const NeighborLabels& n1, int u, const NeighborLabels& n2,
+                      int v) {
+  int i = n1.offset[u], j = n2.offset[v];
+  const int i_end = n1.offset[u + 1], j_end = n2.offset[v + 1];
+  int surplus = 0, deficit = 0;  // unmatched labels of u's / v's list
+  while (i < i_end && j < j_end) {
+    if (n1.labels[i] == n2.labels[j]) {
+      ++i;
+      ++j;
+    } else if (n1.labels[i] < n2.labels[j]) {
+      ++surplus;
+      ++i;
+    } else {
+      ++deficit;
+      ++j;
+    }
+  }
+  surplus += i_end - i;
+  deficit += j_end - j;
   return std::max(surplus, deficit);
 }
 
@@ -65,17 +97,19 @@ NodeMatching RepairMatching(const Graph& g1, const Graph& g2,
   return match;
 }
 
-HeuristicResult SolveWith(const Graph& g1, const Graph& g2,
-                          bool use_neighbor_labels, bool use_jv) {
-  OTGED_CHECK(g1.NumNodes() <= g2.NumNodes());
-  Matrix cost = BipartiteCostMatrix(g1, g2, use_neighbor_labels);
-  AssignmentResult lap =
-      use_jv ? SolveAssignmentJV(cost) : SolveAssignment(cost);
+// The edit path of a repaired BP assignment.
+HeuristicResult FromAssignment(const Graph& g1, const Graph& g2,
+                               const AssignmentResult& lap) {
   HeuristicResult res;
   res.matching = RepairMatching(g1, g2, lap.row_to_col);
   res.path = EditPathFromMatching(g1, g2, res.matching);
   res.ged = static_cast<int>(res.path.size());
   return res;
+}
+
+AssignmentResult VjAssignment(const Graph& g1, const Graph& g2) {
+  return SolveAssignmentJV(
+      BipartiteCostMatrix(g1, g2, /*use_neighbor_labels=*/true));
 }
 
 }  // namespace
@@ -85,11 +119,15 @@ Matrix BipartiteCostMatrix(const Graph& g1, const Graph& g2,
   const int n1 = g1.NumNodes(), n2 = g2.NumNodes();
   const int n = n1 + n2;
   Matrix c(n, n, 0.0);
+  const NeighborLabels nl1 =
+      use_neighbor_labels ? SortedNeighborLabels(g1) : NeighborLabels{};
+  const NeighborLabels nl2 =
+      use_neighbor_labels ? SortedNeighborLabels(g2) : NeighborLabels{};
   for (int i = 0; i < n1; ++i) {
     for (int j = 0; j < n2; ++j) {
       double sub = g1.label(i) != g2.label(j) ? 1.0 : 0.0;
       if (use_neighbor_labels) {
-        sub += NeighborLabelDiff(g1, i, g2, j) / 2.0;
+        sub += NeighborLabelDiff(nl1, i, nl2, j) / 2.0;
       } else {
         sub += std::abs(g1.Degree(i) - g2.Degree(j)) / 2.0;
       }
@@ -109,17 +147,32 @@ Matrix BipartiteCostMatrix(const Graph& g1, const Graph& g2,
 }
 
 HeuristicResult HungarianGed(const Graph& g1, const Graph& g2) {
-  return SolveWith(g1, g2, /*use_neighbor_labels=*/false, /*use_jv=*/false);
+  OTGED_CHECK(g1.NumNodes() <= g2.NumNodes());
+  return FromAssignment(
+      g1, g2,
+      SolveAssignment(
+          BipartiteCostMatrix(g1, g2, /*use_neighbor_labels=*/false)));
 }
 
 HeuristicResult VjGed(const Graph& g1, const Graph& g2) {
-  return SolveWith(g1, g2, /*use_neighbor_labels=*/true, /*use_jv=*/true);
+  OTGED_CHECK(g1.NumNodes() <= g2.NumNodes());
+  return FromAssignment(g1, g2, VjAssignment(g1, g2));
 }
 
 HeuristicResult ClassicGed(const Graph& g1, const Graph& g2) {
   HeuristicResult a = HungarianGed(g1, g2);
   HeuristicResult b = VjGed(g1, g2);
   return a.ged <= b.ged ? a : b;
+}
+
+int ClassicGedFromHungarian(const Graph& g1, const Graph& g2,
+                            const AssignmentResult& hungarian) {
+  OTGED_CHECK(g1.NumNodes() <= g2.NumNodes());
+  const int h = EditCostFromMatching(
+      g1, g2, RepairMatching(g1, g2, hungarian.row_to_col));
+  const int v = EditCostFromMatching(
+      g1, g2, RepairMatching(g1, g2, VjAssignment(g1, g2).row_to_col));
+  return std::min(h, v);
 }
 
 }  // namespace otged

@@ -6,6 +6,7 @@
 #ifndef OTGED_HEURISTICS_BIPARTITE_HPP_
 #define OTGED_HEURISTICS_BIPARTITE_HPP_
 
+#include "assignment/hungarian.hpp"
 #include "editpath/edit_path.hpp"
 #include "graph/graph.hpp"
 
@@ -30,6 +31,14 @@ HeuristicResult VjGed(const Graph& g1, const Graph& g2);
 
 /// Runs both and returns the result with the shorter edit path.
 HeuristicResult ClassicGed(const Graph& g1, const Graph& g2);
+
+/// ClassicGed(g1, g2).ged from `hungarian`, the SolveAssignment solution
+/// of BipartiteCostMatrix(g1, g2, false) — the LAP BranchLowerBound also
+/// solves — so a caller that already holds it runs only VJ's solve. No
+/// edit path is built: each repaired matching is priced by
+/// EditCostFromMatching and the cheaper one wins. Requires n1 <= n2.
+int ClassicGedFromHungarian(const Graph& g1, const Graph& g2,
+                            const AssignmentResult& hungarian);
 
 /// The (n1+n2) x (n1+n2) Riesen-Bunke cost matrix used by HungarianGed;
 /// exposed for tests and for OT-based methods that want a hand-crafted

@@ -4,30 +4,18 @@
 #include <cmath>
 
 #include "assignment/hungarian.hpp"
+#include "heuristics/bipartite.hpp"
 
 namespace otged {
 
 double BranchLowerBound(const Graph& g1, const Graph& g2) {
-  const int n1 = g1.NumNodes(), n2 = g2.NumNodes();
-  const int n = n1 + n2;
-  if (n == 0) return 0.0;
-  Matrix c(n, n, 0.0);
-  for (int i = 0; i < n1; ++i) {
-    for (int j = 0; j < n2; ++j) {
-      double sub = g1.label(i) != g2.label(j) ? 1.0 : 0.0;
-      // Half-counted edge gap: every edge edit has two endpoints, so
-      // charging |d_i - d_j| / 2 per endpoint never exceeds reality.
-      sub += std::abs(g1.Degree(i) - g2.Degree(j)) / 2.0;
-      c(i, j) = sub;
-    }
-  }
-  for (int i = 0; i < n1; ++i)
-    for (int j = 0; j < n1; ++j)
-      c(i, n2 + j) = (i == j) ? 1.0 + g1.Degree(i) / 2.0 : kAssignInf;
-  for (int i = 0; i < n2; ++i)
-    for (int j = 0; j < n2; ++j)
-      c(n1 + i, j) = (i == j) ? 1.0 + g2.Degree(j) / 2.0 : kAssignInf;
-  return SolveAssignment(c).cost;
+  if (g1.NumNodes() + g2.NumNodes() == 0) return 0.0;
+  // Riesen-Bunke's degree cost is half-counted: every edge edit has two
+  // endpoints, so charging |d_i - d_j| / 2 per endpoint never exceeds
+  // reality.
+  return SolveAssignment(
+             BipartiteCostMatrix(g1, g2, /*use_neighbor_labels=*/false))
+      .cost;
 }
 
 int BestLowerBound(const Graph& g1, const Graph& g2) {

@@ -14,7 +14,9 @@ namespace otged {
 /// BRANCH-style bipartite lower bound: each node pair's substitution cost
 /// is label mismatch + half the degree gap; deletions/insertions cost
 /// 1 + degree/2. Each edge edit is counted at most 1/2 on each endpoint,
-/// so the LAP optimum never exceeds the true GED. O((n1+n2)^3).
+/// so the LAP optimum never exceeds the true GED. The matrix is
+/// BipartiteCostMatrix(g1, g2, false), HungarianGed's, solved by
+/// SolveAssignment: the value is that solution's cost. O((n1+n2)^3).
 double BranchLowerBound(const Graph& g1, const Graph& g2);
 
 /// The tightest cheap bound available: max of the label-set bound and the

@@ -4,9 +4,9 @@
 #include <cmath>
 #include <utility>
 
+#include "assignment/hungarian.hpp"
 #include "exact/branch_and_bound.hpp"
 #include "heuristics/bipartite.hpp"
-#include "heuristics/lower_bounds.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace otged {
@@ -168,14 +168,21 @@ CascadeVerdict FilterCascade::BoundedDistance(
   mark(CascadeTier::kInvariant);
 
   auto [g1, g2] = OrderBySize(query, g);
+  // The BRANCH LAP (BranchLowerBound's value) is also Hungarian's
+  // assignment, so tier 1 solves it once and tier 2 reuses it.
+  auto hungarian_lap = [&] {
+    return SolveAssignment(
+        BipartiteCostMatrix(*g1, *g2, /*use_neighbor_labels=*/false));
+  };
+  AssignmentResult hungarian;
 
   // --- tier 1: BRANCH bipartite lower bound ----------------------------
   if (opt_.use_branch_bound) {
 #if OTGED_TELEMETRY_COMPILED
     if (metered) Metrics().escalated[1]->Inc();
 #endif
-    lb = std::max(lb, static_cast<int>(
-                          std::ceil(BranchLowerBound(*g1, *g2) - 1e-9)));
+    hungarian = hungarian_lap();
+    lb = std::max(lb, static_cast<int>(std::ceil(hungarian.cost - 1e-9)));
     best_lb = lb;
     if (lb > tau) {
       stats->pruned_branch++;
@@ -193,7 +200,8 @@ CascadeVerdict FilterCascade::BoundedDistance(
 #if OTGED_TELEMETRY_COMPILED
   if (metered) Metrics().escalated[2]->Inc();
 #endif
-  const int ub = ClassicGed(*g1, *g2).ged;
+  if (!opt_.use_branch_bound) hungarian = hungarian_lap();
+  const int ub = ClassicGedFromHungarian(*g1, *g2, hungarian);
   best_ub = ub;
   if (lb == ub) {
     // Certificate: admissible LB meets feasible UB, distance is exact.

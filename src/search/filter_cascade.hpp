@@ -9,7 +9,9 @@
 ///                                          from GraphStore invariants
 ///   tier 1  BRANCH bound        O(n^3)     bipartite assignment LB
 ///   tier 2  heuristic verify    O(n^3)     Classic (Hungarian+VJ) upper
-///                                          bound; LB == UB certifies
+///                                          bound, Hungarian's half from
+///                                          tier 1's LAP; LB == UB
+///                                          certifies
 ///   tier 4  exact verify        exp(n)     branch-and-bound with an
 ///                                          anchor-aware bound, seeded
 ///                                          with the tier-2 upper bound

@@ -466,6 +466,15 @@ std::pair<Graph, Graph> SamplePair(int trial, Rng* rng) {
   return {std::move(a), std::move(b)};
 }
 
+/// Edges of `g` with exactly one endpoint in `mapped` (a node bitmask).
+int CutEdges(const Graph& g, uint64_t mapped) {
+  int cut = 0;
+  for (int u = 0; u < g.NumNodes(); ++u)
+    for (int w : g.Neighbors(u))
+      if (u < w && (mapped >> u & 1) != (mapped >> w & 1)) ++cut;
+  return cut;
+}
+
 /// Labels about half the edges of `g` with one of two non-zero labels.
 void LabelSomeEdges(Graph* g, Rng* rng) {
   for (int u = 0; u < g->NumNodes(); ++u)
@@ -476,7 +485,8 @@ void LabelSomeEdges(Graph* g, Rng* rng) {
 
 // The SoA do/undo scratch must agree with the recompute-from-scratch
 // reference at every step: DeltaFast vs Delta, the incremental O(1)
-// heuristic vs the O(n + m) recompute, Push/Pop as exact inverses, and
+// heuristic vs the O(n + m) recompute, the cut-edge counters vs a
+// recount, Push/Pop as exact inverses (cut counters included), and
 // RankChildren vs the children a full (delta, v) ranking keeps under
 // several bounds. The sampled pairs include edge-labeled ones (the
 // DeltaFast branch of RankChildren) and one with n2 == 64 (a full
@@ -552,6 +562,11 @@ TEST(SearchScratchTest, MatchesRecomputeReferenceOnRandomWalks) {
       ASSERT_EQ(d.used, s.used);
       ASSERT_EQ(searcher.HeuristicOf(d), s.h)
           << "trial " << trial << " depth " << depth;
+      ASSERT_EQ(d.cut1,
+                CutEdges(g1, searcher.ctx().order_prefix[d.depth]))
+          << "trial " << trial << " depth " << depth;
+      ASSERT_EQ(d.cut2, CutEdges(g2, d.used))
+          << "trial " << trial << " depth " << depth;
     }
     if (n1 > 0) {
       // Leaves: the O(1) heuristic degenerates to the completion cost.
@@ -566,6 +581,10 @@ TEST(SearchScratchTest, MatchesRecomputeReferenceOnRandomWalks) {
     EXPECT_EQ(d.surplus, fresh.surplus);
     EXPECT_EQ(d.m1_rem, fresh.m1_rem);
     EXPECT_EQ(d.m2_rem, fresh.m2_rem);
+    EXPECT_EQ(d.cut1, 0);
+    EXPECT_EQ(d.cut2, 0);
+    EXPECT_EQ(d.cut1, fresh.cut1);
+    EXPECT_EQ(d.cut2, fresh.cut2);
     EXPECT_EQ(d.map1to2, fresh.map1to2);
     EXPECT_EQ(d.map2to1, fresh.map2to1);
     EXPECT_EQ(d.c1_rem, fresh.c1_rem);
@@ -623,6 +642,91 @@ TEST(SearchScratchTest, AnchorHeuristicIsAdmissible) {
   }
   EXPECT_GE(labeled, 50);
   EXPECT_GT(tighter, 0);  // the bound does prune beyond the O(1) one
+}
+
+/// The anchor-aware bound as it was computed before the cut-edge
+/// counters: anchored-edge counts recounted from A(u) and B(w), and the
+/// min table always built. O(n1 * n2) popcounts per call.
+int QuadraticAnchorHeuristic(const internal::SearchContext& ctx,
+                             const internal::DfsState& s, int cap) {
+  const uint64_t free1 = ctx.all1 & ~ctx.order_prefix[s.depth];
+  std::vector<uint64_t> b;  // the non-empty B(w) of unmapped w
+  int anchored1 = 0, anchored2 = 0;
+  bool empty_b = false;  // some unmapped w has B(w) == 0
+  for (uint64_t m = ctx.all2 & ~s.used; m != 0; m &= m - 1) {
+    const uint64_t bw = ctx.adj2_mask[std::countr_zero(m)] & s.used;
+    anchored2 += std::popcount(bw);
+    if (bw == 0) {
+      empty_b = true;
+    } else {
+      b.push_back(bw);
+    }
+  }
+  for (uint64_t m = free1; m != 0; m &= m - 1)
+    anchored1 += std::popcount(s.anchor[std::countr_zero(m)]);
+  int h = s.surplus + (ctx.n2 - ctx.n1) +
+          std::abs((s.m1_rem - anchored1) - (s.m2_rem - anchored2));
+  for (uint64_t m = free1; m != 0 && h < cap; m &= m - 1) {
+    const uint64_t a = s.anchor[std::countr_zero(m)];
+    int best = empty_b ? std::popcount(a) : kMaxExactNodes;
+    for (const uint64_t bw : b) best = std::min(best, std::popcount(a ^ bw));
+    h += best;
+  }
+  return h;
+}
+
+// The O(1) first term (from the cut-edge counters) and its early return
+// leave AnchorHeuristic's value where the O(n1 * n2) recount had it, at
+// every cap around the true value, on random walks over pairs of up to
+// 32 nodes, unlabeled and edge-labeled.
+TEST(SearchScratchTest, AnchorHeuristicMatchesQuadraticReference) {
+  Rng rng(779);
+  constexpr int kInf = std::numeric_limits<int>::max();
+  int states = 0, labeled = 0, table = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    const int na = rng.UniformInt(4, 32), nb = rng.UniformInt(4, 32);
+    Graph g1 = trial % 2 == 0
+                   ? PowerLawGraph(na, 1 + trial % 3, &rng)
+                   : RandomConnectedGraph(na, rng.UniformInt(0, na), 3, &rng);
+    Graph g2 = trial % 3 == 0
+                   ? PowerLawGraph(nb, 1 + trial % 2, &rng)
+                   : RandomConnectedGraph(nb, rng.UniformInt(0, nb), 3, &rng);
+    if (g1.NumNodes() > g2.NumNodes()) std::swap(g1, g2);
+    if (trial % 4 >= 2) {
+      LabelSomeEdges(&g1, &rng);
+      LabelSomeEdges(&g2, &rng);
+    }
+    internal::Searcher searcher(g1, g2);
+    const internal::SearchContext& ctx = searcher.ctx();
+    if (ctx.edge_labeled) ++labeled;
+    internal::DfsState d = searcher.MakeDfs();
+    for (int depth = 0; depth < ctx.n1; ++depth) {
+      const int h = QuadraticAnchorHeuristic(ctx, d, kInf);
+      ASSERT_EQ(searcher.AnchorHeuristic(d, kInf), h)
+          << "trial " << trial << " depth " << depth;
+      for (const int cap : {0, h - 1, h, h + 1}) {
+        ASSERT_EQ(std::min(searcher.AnchorHeuristic(d, cap), cap),
+                  std::min(h, cap))
+            << "trial " << trial << " depth " << depth << " cap " << cap;
+        ASSERT_EQ(searcher.AnchorHeuristic(d, cap),
+                  QuadraticAnchorHeuristic(ctx, d, cap))
+            << "trial " << trial << " depth " << depth << " cap " << cap;
+      }
+      if (h > d.surplus + (ctx.n2 - ctx.n1) +
+                  std::abs((d.m1_rem - d.cut1) - (d.m2_rem - d.cut2)))
+        ++table;  // the min table added to the O(1) term
+      ++states;
+      uint64_t free2 = ctx.all2 & ~d.used;
+      for (int skip = rng.UniformInt(0, std::popcount(free2) - 1); skip > 0;
+           --skip)
+        free2 &= free2 - 1;
+      const int v = std::countr_zero(free2);
+      searcher.Push(&d, v, searcher.DeltaFast(d, v));
+    }
+  }
+  EXPECT_GE(states, 500);
+  EXPECT_GE(labeled, 40);
+  EXPECT_GT(table, 0);
 }
 
 }  // namespace

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <map>
+
 #include "exact/astar.hpp"
+#include "heuristics/lower_bounds.hpp"
 #include "graph/generator.hpp"
 
 namespace otged {
@@ -26,6 +31,55 @@ TEST(BipartiteCostTest, ShapeAndBlocks) {
   EXPECT_GE(c(0, 4), kAssignInf / 2);
   // eps-eps block free.
   EXPECT_DOUBLE_EQ(c(3, 3), 0.0);
+}
+
+/// The VJ-style substitution cost from per-cell neighbour-label maps.
+double MapNeighborLabelCost(const Graph& g1, int u, const Graph& g2, int v) {
+  std::map<Label, int> count;
+  for (int w : g1.Neighbors(u)) count[g1.label(w)]++;
+  for (int x : g2.Neighbors(v)) count[g2.label(x)]--;
+  int surplus = 0, deficit = 0;
+  for (const auto& [l, c] : count) {
+    if (c > 0) surplus += c;
+    else deficit -= c;
+  }
+  return (g1.label(u) != g2.label(v) ? 1.0 : 0.0) +
+         std::max(surplus, deficit) / 2.0;
+}
+
+// The sorted-list merge walk prices every substitution cell exactly as
+// the per-cell multiset map does, on labeled, unlabeled and empty graphs;
+// the deletion/insertion blocks are the degree-based ones either way.
+TEST(BipartiteCostTest, NeighborLabelCostMatchesMapReference) {
+  Rng rng(31);
+  int cells = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const int labels = trial % 3 == 0 ? 1 : 2 + trial % 5;
+    Graph g1 = trial == 0 ? Graph()
+                          : RandomConnectedGraph(rng.UniformInt(1, 9),
+                                                 rng.UniformInt(0, 6), labels,
+                                                 &rng);
+    Graph g2 = trial % 4 == 1 ? AidsLikeGraph(&rng, 2, 12)
+                              : RandomConnectedGraph(rng.UniformInt(1, 12),
+                                                     rng.UniformInt(0, 8),
+                                                     labels, &rng);
+    const int n1 = g1.NumNodes(), n2 = g2.NumNodes();
+    const Matrix vj = BipartiteCostMatrix(g1, g2, true);
+    const Matrix hung = BipartiteCostMatrix(g1, g2, false);
+    ASSERT_EQ(vj.rows(), n1 + n2);
+    for (int i = 0; i < n1; ++i)
+      for (int j = 0; j < n2; ++j) {
+        ASSERT_EQ(vj(i, j), MapNeighborLabelCost(g1, i, g2, j))
+            << "trial " << trial << " cell " << i << "," << j;
+        ++cells;
+      }
+    for (int i = 0; i < n1 + n2; ++i)
+      for (int j = 0; j < n1 + n2; ++j)
+        if (i >= n1 || j >= n2) {
+          ASSERT_EQ(vj(i, j), hung(i, j));
+        }
+  }
+  EXPECT_GT(cells, 1000);
 }
 
 class HeuristicUpperBoundTest
@@ -66,6 +120,28 @@ TEST(ClassicTest, NeverWorseThanEitherMember) {
     int v = VjGed(g1, g2).ged;
     int c = ClassicGed(g1, g2).ged;
     EXPECT_EQ(c, std::min(h, v));
+  }
+}
+
+// Classic's value from a supplied Hungarian LAP (the BRANCH LAP) equals
+// ClassicGed's, and that LAP's cost is BranchLowerBound, on labeled,
+// unlabeled, edge-labeled and empty graphs.
+TEST(ClassicTest, FromHungarianMatchesClassicGed) {
+  Rng rng(13);
+  for (int trial = 0; trial < 60; ++trial) {
+    Graph g1 = trial == 0 ? Graph() : AidsLikeGraph(&rng, 1, 8);
+    Graph g2 = trial % 3 == 0
+                   ? RandomConnectedGraph(rng.UniformInt(1, 10),
+                                          rng.UniformInt(0, 5), 1, &rng)
+                   : AidsLikeGraph(&rng, 2, 10);
+    if (g1.NumNodes() > g2.NumNodes()) std::swap(g1, g2);
+    if (trial % 5 == 4 && !g2.Neighbors(0).empty())
+      g2.set_edge_label(0, g2.Neighbors(0).front(), 2);
+    const AssignmentResult lap =
+        SolveAssignment(BipartiteCostMatrix(g1, g2, false));
+    EXPECT_EQ(lap.cost, BranchLowerBound(g1, g2)) << "trial " << trial;
+    EXPECT_EQ(ClassicGedFromHungarian(g1, g2, lap), ClassicGed(g1, g2).ged)
+        << "trial " << trial;
   }
 }
 

@@ -205,6 +205,47 @@ TEST(FilterCascadeTest, NoFalseDismissalUnderBudgetExhaustion) {
   }
 }
 
+// Tier 2 prices Classic from tier 1's LAP (or its own solve when tier 1
+// is off); its upper bound must be ClassicGed's on labeled, unlabeled,
+// edge-labeled and empty graphs. A tau no bound reaches makes tier 2
+// settle every pair, so the probe's ub and the verdict are that value.
+TEST(FilterCascadeTest, TierTwoValueEqualsClassicGed) {
+  Rng rng(41);
+  for (const bool branch : {true, false}) {
+    CascadeOptions copt;
+    copt.use_branch_bound = branch;
+    const FilterCascade cascade(copt);
+    int settled = 0;
+    for (int trial = 0; trial < 60; ++trial) {
+      Graph a = trial == 0 ? Graph()
+                           : RandomConnectedGraph(rng.UniformInt(1, 8),
+                                                  rng.UniformInt(0, 4),
+                                                  trial % 3 == 0 ? 1 : 4,
+                                                  &rng);
+      Graph b = trial % 2 == 0 ? AidsLikeGraph(&rng, 2, 9)
+                               : RandomConnectedGraph(rng.UniformInt(1, 9),
+                                                      rng.UniformInt(0, 4),
+                                                      trial % 3 == 0 ? 1 : 4,
+                                                      &rng);
+      if (trial % 4 == 3 && !b.Neighbors(0).empty())
+        b.set_edge_label(0, b.Neighbors(0).front(), 1 + trial % 2);
+      const GraphInvariants ai = ComputeInvariants(a);
+      const GraphInvariants bi = ComputeInvariants(b);
+      CascadeStats st;
+      CascadeProbe probe;
+      const CascadeVerdict v = cascade.BoundedDistance(
+          a, ai, b, bi, /*tau=*/1000, /*need_distance=*/false, &st, &probe);
+      if (v.tier == CascadeTier::kInvariant) continue;  // identical pair
+      ASSERT_EQ(v.tier, CascadeTier::kHeuristic) << "trial " << trial;
+      auto [g1, g2] = OrderBySize(a, b);
+      EXPECT_EQ(probe.ub, ClassicGed(*g1, *g2).ged) << "trial " << trial;
+      EXPECT_EQ(v.ged, probe.ub);
+      ++settled;
+    }
+    EXPECT_GE(settled, 55) << "branch " << branch;
+  }
+}
+
 TEST(FilterCascadeTest, StatsAreConsistent) {
   GraphStore store = MakeSmallStore(30, 1, 6);
   QueryEngine engine(&store, {});
