@@ -37,7 +37,9 @@
 /// power-law + 5 perturbed variants of each of the 8 queries), all
 /// deterministic in the seed.
 ///
-/// Flags: --smoke  shrink corpus/query counts for CI smoke runs
+/// Flags: --smoke  shrink corpus/query counts for CI smoke runs (the
+///                 batching and warm-cache speedups then print without a
+///                 PASS/FAIL verdict: they would time a few ms of work)
 ///        --out P  write the bench report to P (default BENCH_search.json)
 #include <chrono>
 #include <cstdio>
@@ -193,10 +195,13 @@ int main(int argc, char** argv) {
     QueryEngine batch_engine(&store, bopt);
     double batch_s =
         time_run([&] { batch_engine.RangeBatch(queries, tau); });
-    std::printf("  sequential: %.3f s | batched: %.3f s | speedup %.2fx  "
-                "[%s]\n",
+    // At smoke size each phase takes a few ms, so this comparison and
+    // the warm-cache one below read timer noise: no verdict there.
+    std::printf("  sequential: %.3f s | batched: %.3f s | speedup %.2fx%s\n",
                 seq_s, batch_s, seq_s / batch_s,
-                batch_s < seq_s ? "PASS batched faster" : "FAIL");
+                smoke              ? ""
+                : batch_s < seq_s ? "  [PASS batched faster]"
+                                   : "  [FAIL]");
   }
 
   // ------------------------------------------------- 5. warm bound cache
@@ -222,9 +227,10 @@ int main(int argc, char** argv) {
                   pass_total.candidates, pass_total.exact_calls,
                   engine2.CacheSize());
     }
-    std::printf("  warm speedup: %.2fx  [%s]\n",
-                pass_sec[0] / pass_sec[1],
-                pass_sec[1] < pass_sec[0] ? "PASS warm faster" : "FAIL");
+    std::printf("  warm speedup: %.2fx%s\n", pass_sec[0] / pass_sec[1],
+                smoke                      ? ""
+                : pass_sec[1] < pass_sec[0] ? "  [PASS warm faster]"
+                                            : "  [FAIL]");
   }
 
   // ------------------------------------------------ 6. SLO / perf record

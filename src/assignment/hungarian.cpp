@@ -4,13 +4,9 @@
 #include <cmath>
 #include <limits>
 
-#include "core/simd.hpp"
-
 namespace otged {
 
-namespace detail {
-
-AssignmentResult SolveAssignmentScalar(const Matrix& cost) {
+AssignmentResult SolveAssignment(const Matrix& cost) {
   OTGED_CHECK(cost.rows() == cost.cols());
   const int n = cost.rows();
   AssignmentResult res;
@@ -73,118 +69,6 @@ AssignmentResult SolveAssignmentScalar(const Matrix& cost) {
     if (c >= kAssignInf / 2) res.feasible = false;
   }
   return res;
-}
-
-// Same algorithm with the two O(n) inner scans vectorized. Column "used"
-// state lives in `excl` (+inf used, 0.0 unused) so masked min scans can
-// exclude used columns with an exact `minv[j] + excl[j]` add; `way` and
-// `minv` writes are restricted to unused lanes (the scalar loop never
-// touches a used column's slots, and `way` of used columns IS read later
-// when backtracking the augmenting path). All lane arithmetic keeps the
-// scalar association, so the result matches SolveAssignmentScalar
-// exactly.
-AssignmentResult SolveAssignmentSimd(const Matrix& cost) {
-  OTGED_CHECK(cost.rows() == cost.cols());
-  const int n = cost.rows();
-  AssignmentResult res;
-  res.row_to_col.assign(n, -1);
-  if (n == 0) return res;
-
-  const double inf = std::numeric_limits<double>::infinity();
-  std::vector<double> u(n + 1, 0.0), v(n + 1, 0.0);
-  std::vector<int> p(n + 1, 0), way(n + 1, 0);
-  std::vector<double> minv(n + 1);
-  std::vector<double> excl(n + 1);
-  std::vector<int> used_js;
-  used_js.reserve(n + 1);
-  const double* cdata = cost.data();
-  constexpr int L = simd::kDoubleLanes;
-  const simd::VecD vzero = simd::VecD::Zero();
-
-  for (int i = 1; i <= n; ++i) {
-    p[0] = i;
-    int j0 = 0;
-    std::fill(minv.begin(), minv.end(), inf);
-    std::fill(excl.begin(), excl.end(), 0.0);
-    used_js.clear();
-    double* minv1 = minv.data() + 1;  // column j lives at offset j - 1
-    double* excl1 = excl.data() + 1;
-    const double* v1 = v.data() + 1;
-    do {
-      excl[j0] = inf;
-      used_js.push_back(j0);
-      const int i0 = p[j0];
-      const double* row = cdata + static_cast<size_t>(i0 - 1) * n;
-      const simd::VecD u0 = simd::VecD::Broadcast(u[i0]);
-      // Pass 1: minv[j] = min(minv[j], (cost - u) - v) over unused j,
-      // recording way[j] = j0 on improvement.
-      int t = 0;
-      for (; t + L <= n; t += L) {
-        simd::VecD cur =
-            (simd::VecD::Load(row + t) - u0) - simd::VecD::Load(v1 + t);
-        simd::VecD mv = simd::VecD::Load(minv1 + t);
-        simd::MaskD unused = simd::CmpEq(simd::VecD::Load(excl1 + t), vzero);
-        simd::MaskD m = simd::And(simd::CmpLt(cur, mv), unused);
-        simd::Blend(m, cur, mv).Store(minv1 + t);
-        int bits = m.MoveMask();
-        while (bits != 0) {
-          const int l = __builtin_ctz(static_cast<unsigned>(bits));
-          way[t + l + 1] = j0;
-          bits &= bits - 1;
-        }
-      }
-      for (; t < n; ++t) {
-        if (excl1[t] != 0.0) continue;
-        const double cur = (row[t] - u[i0]) - v1[t];
-        if (cur < minv1[t]) {
-          minv1[t] = cur;
-          way[t + 1] = j0;
-        }
-      }
-      // Pass 2: delta = min over unused columns, first index on ties —
-      // exactly the sequential strict-< scan's pick.
-      const simd::MinLoc ml = simd::MinFirstIndexMasked(minv1, excl1, n);
-      OTGED_CHECK(ml.index != -1);
-      const double delta = ml.value;
-      const int j1 = ml.index + 1;
-      for (int j : used_js) {
-        u[p[j]] += delta;
-        v[j] -= delta;
-      }
-      const simd::VecD dv = simd::VecD::Broadcast(delta);
-      t = 0;
-      for (; t + L <= n; t += L) {
-        simd::VecD mv = simd::VecD::Load(minv1 + t);
-        simd::MaskD unused = simd::CmpEq(simd::VecD::Load(excl1 + t), vzero);
-        simd::Blend(unused, mv - dv, mv).Store(minv1 + t);
-      }
-      for (; t < n; ++t)
-        if (excl1[t] == 0.0) minv1[t] -= delta;
-      j0 = j1;
-    } while (p[j0] != 0);
-    do {
-      int j1 = way[j0];
-      p[j0] = p[j1];
-      j0 = j1;
-    } while (j0 != 0);
-  }
-
-  res.cost = 0.0;
-  for (int j = 1; j <= n; ++j) {
-    if (p[j] == 0) continue;
-    res.row_to_col[p[j] - 1] = j - 1;
-    double c = cost(p[j] - 1, j - 1);
-    res.cost += c;
-    if (c >= kAssignInf / 2) res.feasible = false;
-  }
-  return res;
-}
-
-}  // namespace detail
-
-AssignmentResult SolveAssignment(const Matrix& cost) {
-  return simd::Enabled() ? detail::SolveAssignmentSimd(cost)
-                         : detail::SolveAssignmentScalar(cost);
 }
 
 AssignmentResult SolveAssignmentRect(const Matrix& cost) {

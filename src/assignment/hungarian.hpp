@@ -37,20 +37,6 @@ AssignmentResult SolveAssignmentRect(const Matrix& cost);
 /// matching framework where weights come from a coupling matrix).
 AssignmentResult SolveMaxWeightAssignment(const Matrix& weight);
 
-namespace detail {
-
-/// Scalar / SIMD twins behind SolveAssignment. The public entry point
-/// dispatches on simd::Enabled(); both twins are always compiled so
-/// tests and benches can A/B them within one binary. Their outputs are
-/// *identical*, not merely close: the vector path preserves the scalar
-/// association per lane ((cost - u) - v) and its min scans keep the
-/// sequential first-index tie-break, so every augmenting path — and
-/// therefore row_to_col, cost, and feasible — matches bit for bit.
-AssignmentResult SolveAssignmentScalar(const Matrix& cost);
-AssignmentResult SolveAssignmentSimd(const Matrix& cost);
-
-}  // namespace detail
-
 }  // namespace otged
 
 #endif  // OTGED_ASSIGNMENT_HUNGARIAN_HPP_

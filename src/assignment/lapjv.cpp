@@ -156,9 +156,9 @@ AssignmentResult SolveAssignmentJVScalar(const Matrix& cost) {
 // Same four phases with every O(n) scan vectorized; all lane arithmetic
 // keeps the scalar association (cost - v, then ((mind + c) - v) - h0), so
 // reduced costs are bit-equal and every tie resolves to the same index
-// the sequential scan keeps (see MinFirstIndex). Column-"done" state for
-// masked scans lives in +inf/0.0 `excl` arrays, whose exact adds leave
-// live values untouched.
+// the sequential scan keeps (see MinFirstIndexMasked). Column-"done"
+// state for masked scans lives in +inf/0.0 `excl` arrays, whose exact
+// adds leave live values untouched.
 AssignmentResult SolveAssignmentJVSimd(const Matrix& cost) {
   OTGED_CHECK(cost.rows() == cost.cols());
   const int n = cost.rows();
@@ -411,8 +411,7 @@ AssignmentResult SolveAssignmentJVSimd(const Matrix& cost) {
 }  // namespace detail
 
 AssignmentResult SolveAssignmentJV(const Matrix& cost) {
-  return simd::Enabled() ? detail::SolveAssignmentJVSimd(cost)
-                         : detail::SolveAssignmentJVScalar(cost);
+  return detail::SolveAssignmentJVSimd(cost);
 }
 
 }  // namespace otged

@@ -20,11 +20,12 @@ AssignmentResult SolveAssignmentJV(const Matrix& cost);
 
 namespace detail {
 
-/// Scalar / SIMD twins behind SolveAssignmentJV (dispatch on
-/// simd::Enabled()). Like the Hungarian twins, outputs are identical:
-/// reduced costs keep the scalar association (cost - v), two-smallest
-/// scans replay the sequential tie-breaks, and Dijkstra's column picks
-/// keep the first-argmin order.
+/// SolveAssignmentJV always runs the SIMD twin; the scalar twin is the
+/// reference that tests and bench_micro_kernels compare it against.
+/// Their outputs are identical, not merely close: reduced costs keep the
+/// scalar association (cost - v), two-smallest scans replay the
+/// sequential tie-breaks, and Dijkstra's column picks keep the
+/// first-argmin order.
 AssignmentResult SolveAssignmentJVScalar(const Matrix& cost);
 AssignmentResult SolveAssignmentJVSimd(const Matrix& cost);
 

@@ -2,26 +2,22 @@
 /// \brief Portable fixed-width SIMD lanes for the solver hot kernels.
 ///
 /// One compile-time ISA is selected from the compiler's target macros —
-/// AVX2, SSE2, NEON (aarch64), or a scalar 1-lane fallback — and every
-/// kernel is written once against the `VecD` / `VecU64` abstractions
-/// below. The selection is static so the kernels inline to raw
-/// intrinsics, but each call site still honors a runtime kill switch:
-/// `OTGED_SIMD=off` (also `0` / `false`) makes `Enabled()` return false,
-/// and every vectorized kernel falls back to its scalar twin. That twin
-/// is a separate, always-compiled function (declared next to the public
-/// entry point), so tests and benches can A/B the two paths on the same
-/// binary regardless of the environment.
+/// AVX2, SSE2, NEON (aarch64), or a scalar 1-lane fallback — and the
+/// vector kernels (LAPJV, Sinkhorn plain/log, the GW tensor product) are
+/// written once against the `VecD` abstraction below, so they inline to
+/// raw intrinsics. There is no run-time switch: each public entry point
+/// always runs its vector kernel. The scalar twins of those kernels
+/// (`detail::*Scalar`) are kept only as the references that
+/// tests/simd_kernels_test.cpp and bench_micro_kernels compare against.
 ///
 /// Semantics the kernels rely on:
 ///  - `VecD` arithmetic is plain IEEE double per lane: no FMA
 ///    contraction is emitted from these wrappers, so a vector body that
 ///    preserves the scalar association per lane produces bit-identical
-///    lane results (Hungarian / LAPJV reductions depend on this).
-///  - `VecU64` add/xor/shift/MulLo are exact mod-2^64, so hash kernels
-///    (WL refinement) are bit-identical to their scalar twins.
-///  - Horizontal helpers (`HSum`, `HMin`) fix one reduction order per
-///    ISA; float kernels that use them are equivalence-tested to a
-///    bounded ulp tolerance instead of bit equality.
+///    lane results (the LAPJV reductions depend on this).
+///  - Horizontal helpers (`HSum`, `HMin`, `HMax`) fix one reduction order
+///    per ISA; float kernels that sum with `HSum` are equivalence-tested
+///    to a bounded ulp tolerance instead of bit equality.
 ///  - `Exp` is a vector exp approximation (Cody-Waite reduction plus the
 ///    Cephes rational) accurate to ~1 ulp over the finite range; scalar
 ///    twins use std::exp, so exp-heavy kernels are also ulp-tested.
@@ -29,41 +25,27 @@
 #define OTGED_CORE_SIMD_HPP_
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
 #if defined(__AVX2__)
-#define OTGED_SIMD_ISA_AVX2 1
+#define OTGED_ISA_AVX2 1
 #include <immintrin.h>
 #elif defined(__SSE2__) || defined(_M_X64) || \
     (defined(_M_IX86_FP) && _M_IX86_FP >= 2)
-#define OTGED_SIMD_ISA_SSE2 1
+#define OTGED_ISA_SSE2 1
 #include <emmintrin.h>
 #elif defined(__aarch64__) && defined(__ARM_NEON)
-#define OTGED_SIMD_ISA_NEON 1
+#define OTGED_ISA_NEON 1
 #include <arm_neon.h>
 #else
-#define OTGED_SIMD_ISA_SCALAR 1
+#define OTGED_ISA_SCALAR 1
 #endif
 
 namespace otged {
 namespace simd {
 
-/// Runtime kill switch: true unless the environment sets OTGED_SIMD to
-/// "off", "0" or "false". Cached after the first call; flip it between
-/// runs, not mid-process.
-inline bool Enabled() {
-  static const bool on = [] {
-    const char* e = std::getenv("OTGED_SIMD");
-    if (e == nullptr) return true;
-    return !(std::strcmp(e, "off") == 0 || std::strcmp(e, "0") == 0 ||
-             std::strcmp(e, "false") == 0);
-  }();
-  return on;
-}
-
-#if defined(OTGED_SIMD_ISA_AVX2)
+#if defined(OTGED_ISA_AVX2)
 
 inline constexpr int kDoubleLanes = 4;
 inline constexpr const char* kIsaName = "avx2";
@@ -90,14 +72,10 @@ struct MaskD {
   __m256d m;
   /// Bit i set iff lane i is true.
   int MoveMask() const { return _mm256_movemask_pd(m); }
-  bool Any() const { return MoveMask() != 0; }
 };
 
 inline MaskD CmpLt(VecD a, VecD b) {
   return {_mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ)};
-}
-inline MaskD CmpLe(VecD a, VecD b) {
-  return {_mm256_cmp_pd(a.v, b.v, _CMP_LE_OQ)};
 }
 inline MaskD CmpEq(VecD a, VecD b) {
   return {_mm256_cmp_pd(a.v, b.v, _CMP_EQ_OQ)};
@@ -106,7 +84,6 @@ inline MaskD CmpEq(VecD a, VecD b) {
 inline VecD Blend(MaskD m, VecD a, VecD b) {
   return {_mm256_blendv_pd(b.v, a.v, m.m)};
 }
-inline MaskD And(MaskD a, MaskD b) { return {_mm256_and_pd(a.m, b.m)}; }
 
 inline double HSum(VecD a) {
   // Fixed order: (l0+l1) + (l2+l3).
@@ -131,45 +108,7 @@ inline double HMax(VecD a) {
   return _mm_cvtsd_f64(_mm_max_sd(pair, swap));
 }
 
-/// `kDoubleLanes` uint64 lanes (same width as VecD so hash kernels can
-/// process the same stride).
-struct VecU64 {
-  __m256i v;
-  static VecU64 Load(const uint64_t* p) {
-    return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))};
-  }
-  static VecU64 Broadcast(uint64_t x) {
-    return {_mm256_set1_epi64x(static_cast<long long>(x))};
-  }
-  void Store(uint64_t* p) const {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-  }
-  friend VecU64 operator+(VecU64 a, VecU64 b) {
-    return {_mm256_add_epi64(a.v, b.v)};
-  }
-  friend VecU64 operator^(VecU64 a, VecU64 b) {
-    return {_mm256_xor_si256(a.v, b.v)};
-  }
-};
-
-template <int S>
-inline VecU64 ShiftRight(VecU64 a) {
-  return {_mm256_srli_epi64(a.v, S)};
-}
-
-/// Exact 64x64 -> low-64 multiply per lane, composed from 32-bit
-/// multiplies (AVX2 has no 64-bit integer multiply).
-inline VecU64 MulLo(VecU64 a, VecU64 b) {
-  __m256i ah = _mm256_srli_epi64(a.v, 32);
-  __m256i bh = _mm256_srli_epi64(b.v, 32);
-  __m256i ll = _mm256_mul_epu32(a.v, b.v);
-  __m256i lh = _mm256_mul_epu32(a.v, bh);
-  __m256i hl = _mm256_mul_epu32(ah, b.v);
-  __m256i mid = _mm256_add_epi64(lh, hl);
-  return {_mm256_add_epi64(ll, _mm256_slli_epi64(mid, 32))};
-}
-
-#elif defined(OTGED_SIMD_ISA_SSE2)
+#elif defined(OTGED_ISA_SSE2)
 
 inline constexpr int kDoubleLanes = 2;
 inline constexpr const char* kIsaName = "sse2";
@@ -192,17 +131,14 @@ inline VecD Max(VecD a, VecD b) { return {_mm_max_pd(a.v, b.v)}; }
 struct MaskD {
   __m128d m;
   int MoveMask() const { return _mm_movemask_pd(m); }
-  bool Any() const { return MoveMask() != 0; }
 };
 
 inline MaskD CmpLt(VecD a, VecD b) { return {_mm_cmplt_pd(a.v, b.v)}; }
-inline MaskD CmpLe(VecD a, VecD b) { return {_mm_cmple_pd(a.v, b.v)}; }
 inline MaskD CmpEq(VecD a, VecD b) { return {_mm_cmpeq_pd(a.v, b.v)}; }
 /// Lane-wise select via bitwise ops (SSE2 has no blendv).
 inline VecD Blend(MaskD m, VecD a, VecD b) {
   return {_mm_or_pd(_mm_and_pd(m.m, a.v), _mm_andnot_pd(m.m, b.v))};
 }
-inline MaskD And(MaskD a, MaskD b) { return {_mm_and_pd(a.m, b.m)}; }
 
 inline double HSum(VecD a) {
   __m128d swap = _mm_unpackhi_pd(a.v, a.v);
@@ -217,41 +153,7 @@ inline double HMax(VecD a) {
   return _mm_cvtsd_f64(_mm_max_sd(a.v, swap));
 }
 
-struct VecU64 {
-  __m128i v;
-  static VecU64 Load(const uint64_t* p) {
-    return {_mm_loadu_si128(reinterpret_cast<const __m128i*>(p))};
-  }
-  static VecU64 Broadcast(uint64_t x) {
-    return {_mm_set1_epi64x(static_cast<long long>(x))};
-  }
-  void Store(uint64_t* p) const {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
-  }
-  friend VecU64 operator+(VecU64 a, VecU64 b) {
-    return {_mm_add_epi64(a.v, b.v)};
-  }
-  friend VecU64 operator^(VecU64 a, VecU64 b) {
-    return {_mm_xor_si128(a.v, b.v)};
-  }
-};
-
-template <int S>
-inline VecU64 ShiftRight(VecU64 a) {
-  return {_mm_srli_epi64(a.v, S)};
-}
-
-inline VecU64 MulLo(VecU64 a, VecU64 b) {
-  __m128i ah = _mm_srli_epi64(a.v, 32);
-  __m128i bh = _mm_srli_epi64(b.v, 32);
-  __m128i ll = _mm_mul_epu32(a.v, b.v);
-  __m128i lh = _mm_mul_epu32(a.v, bh);
-  __m128i hl = _mm_mul_epu32(ah, b.v);
-  __m128i mid = _mm_add_epi64(lh, hl);
-  return {_mm_add_epi64(ll, _mm_slli_epi64(mid, 32))};
-}
-
-#elif defined(OTGED_SIMD_ISA_NEON)
+#elif defined(OTGED_ISA_NEON)
 
 inline constexpr int kDoubleLanes = 2;
 inline constexpr const char* kIsaName = "neon";
@@ -277,16 +179,13 @@ struct MaskD {
     return static_cast<int>((vgetq_lane_u64(m, 0) & 1u) |
                             ((vgetq_lane_u64(m, 1) & 1u) << 1));
   }
-  bool Any() const { return MoveMask() != 0; }
 };
 
 inline MaskD CmpLt(VecD a, VecD b) { return {vcltq_f64(a.v, b.v)}; }
-inline MaskD CmpLe(VecD a, VecD b) { return {vcleq_f64(a.v, b.v)}; }
 inline MaskD CmpEq(VecD a, VecD b) { return {vceqq_f64(a.v, b.v)}; }
 inline VecD Blend(MaskD m, VecD a, VecD b) {
   return {vbslq_f64(m.m, a.v, b.v)};
 }
-inline MaskD And(MaskD a, MaskD b) { return {vandq_u64(a.m, b.m)}; }
 
 inline double HSum(VecD a) {
   return vgetq_lane_f64(a.v, 0) + vgetq_lane_f64(a.v, 1);
@@ -294,34 +193,7 @@ inline double HSum(VecD a) {
 inline double HMin(VecD a) { return vminvq_f64(a.v); }
 inline double HMax(VecD a) { return vmaxvq_f64(a.v); }
 
-struct VecU64 {
-  uint64x2_t v;
-  static VecU64 Load(const uint64_t* p) { return {vld1q_u64(p)}; }
-  static VecU64 Broadcast(uint64_t x) { return {vdupq_n_u64(x)}; }
-  void Store(uint64_t* p) const { vst1q_u64(p, v); }
-  friend VecU64 operator+(VecU64 a, VecU64 b) {
-    return {vaddq_u64(a.v, b.v)};
-  }
-  friend VecU64 operator^(VecU64 a, VecU64 b) {
-    return {veorq_u64(a.v, b.v)};
-  }
-};
-
-template <int S>
-inline VecU64 ShiftRight(VecU64 a) {
-  return {vshrq_n_u64(a.v, S)};
-}
-
-/// NEON has no 64-bit vector multiply; two scalar multiplies match the
-/// two-lane width and stay exact mod 2^64.
-inline VecU64 MulLo(VecU64 a, VecU64 b) {
-  uint64x2_t r = vdupq_n_u64(0);
-  r = vsetq_lane_u64(vgetq_lane_u64(a.v, 0) * vgetq_lane_u64(b.v, 0), r, 0);
-  r = vsetq_lane_u64(vgetq_lane_u64(a.v, 1) * vgetq_lane_u64(b.v, 1), r, 1);
-  return {r};
-}
-
-#else  // OTGED_SIMD_ISA_SCALAR
+#else  // OTGED_ISA_SCALAR
 
 inline constexpr int kDoubleLanes = 1;
 inline constexpr const char* kIsaName = "scalar";
@@ -344,41 +216,17 @@ inline VecD Max(VecD a, VecD b) { return {a.v > b.v ? a.v : b.v}; }
 struct MaskD {
   bool m;
   int MoveMask() const { return m ? 1 : 0; }
-  bool Any() const { return m; }
 };
 
 inline MaskD CmpLt(VecD a, VecD b) { return {a.v < b.v}; }
-inline MaskD CmpLe(VecD a, VecD b) { return {a.v <= b.v}; }
 inline MaskD CmpEq(VecD a, VecD b) { return {a.v == b.v}; }
 inline VecD Blend(MaskD m, VecD a, VecD b) { return m.m ? a : b; }
-inline MaskD And(MaskD a, MaskD b) { return {a.m && b.m}; }
 
 inline double HSum(VecD a) { return a.v; }
 inline double HMin(VecD a) { return a.v; }
 inline double HMax(VecD a) { return a.v; }
 
-struct VecU64 {
-  uint64_t v;
-  static VecU64 Load(const uint64_t* p) { return {*p}; }
-  static VecU64 Broadcast(uint64_t x) { return {x}; }
-  void Store(uint64_t* p) const { *p = v; }
-  friend VecU64 operator+(VecU64 a, VecU64 b) { return {a.v + b.v}; }
-  friend VecU64 operator^(VecU64 a, VecU64 b) { return {a.v ^ b.v}; }
-};
-
-template <int S>
-inline VecU64 ShiftRight(VecU64 a) {
-  return {a.v >> S};
-}
-
-inline VecU64 MulLo(VecU64 a, VecU64 b) { return {a.v * b.v}; }
-
 #endif  // ISA select
-
-/// Lane count of the active path: kDoubleLanes when SIMD is enabled,
-/// 1 when the env switch forced the scalar twins. This is what benches
-/// report as `simd_lanes`.
-inline int ActiveDoubleLanes() { return Enabled() ? kDoubleLanes : 1; }
 
 /// Vector exp, Cephes-style: Cody-Waite range reduction against ln 2,
 /// the (2,3) rational on the reduced argument, then a 2^n scale via
@@ -398,16 +246,16 @@ inline VecD Exp(VecD x) {
   // through memory for scalar int work costs more than the polynomial.
   const VecD kLog2e = VecD::Broadcast(1.4426950408889634074);
   VecD nf = x * kLog2e + VecD::Broadcast(0.5);
-#if defined(OTGED_SIMD_ISA_AVX2)
+#if defined(OTGED_ISA_AVX2)
   nf = VecD{_mm256_floor_pd(nf.v)};
-#elif defined(OTGED_SIMD_ISA_SSE2)
+#elif defined(OTGED_ISA_SSE2)
   {
     // Truncate then step down where truncation rounded up (negatives).
     const __m128d tr = _mm_cvtepi32_pd(_mm_cvttpd_epi32(nf.v));
     nf = VecD{_mm_sub_pd(
         tr, _mm_and_pd(_mm_cmpgt_pd(tr, nf.v), _mm_set1_pd(1.0)))};
   }
-#elif defined(OTGED_SIMD_ISA_NEON)
+#elif defined(OTGED_ISA_NEON)
   nf = VecD{vrndmq_f64(nf.v)};
 #else
   nf.v = std::floor(nf.v);
@@ -436,7 +284,7 @@ inline VecD Exp(VecD x) {
   // exponent stays positive and each factor is a normal number — the
   // product is exactly 2^n either way.
   VecD scale;
-#if defined(OTGED_SIMD_ISA_AVX2)
+#if defined(OTGED_ISA_AVX2)
   {
     const __m128i n32 = _mm256_cvttpd_epi32(nf.v);  // nf integral: exact
     const __m128i half = _mm_srai_epi32(n32, 1);
@@ -448,7 +296,7 @@ inline VecD Exp(VecD x) {
         _mm256_castsi256_pd(_mm256_slli_epi64(h64, 52)),
         _mm256_castsi256_pd(_mm256_slli_epi64(r64, 52)))};
   }
-#elif defined(OTGED_SIMD_ISA_SSE2)
+#elif defined(OTGED_ISA_SSE2)
   {
     const __m128i n32 = _mm_cvttpd_epi32(nf.v);  // nf integral: exact
     const __m128i half = _mm_srai_epi32(n32, 1);
@@ -463,7 +311,7 @@ inline VecD Exp(VecD x) {
     scale = VecD{_mm_mul_pd(_mm_castsi128_pd(_mm_slli_epi64(h64, 52)),
                             _mm_castsi128_pd(_mm_slli_epi64(r64, 52)))};
   }
-#elif defined(OTGED_SIMD_ISA_NEON)
+#elif defined(OTGED_ISA_NEON)
   {
     const int64x2_t n64 = vcvtq_s64_f64(nf.v);  // nf integral: exact
     const int64x2_t half = vshrq_n_s64(n64, 1);
@@ -496,18 +344,16 @@ struct MinLoc {
   int index = -1;
 };
 
-namespace internal {
-
-/// Min + *first* argmin over x[0..n), optionally reading the value as
-/// x[j] + excl[j] (callers pass excl[j] = +inf to mask j out, 0.0 to
-/// keep it — the add is exact for finite x). Matches the scalar idiom
+/// Min and *first* argmin of x[j] + excl[j] over [0..n); callers pass
+/// excl[j] = +inf to mask j out, 0.0 to keep it (the add is exact for
+/// finite x). Matches the scalar idiom
 ///   for (j) if (val[j] < best) { best = val[j]; arg = j; }
 /// exactly: strict < keeps the first occurrence of the minimum, and the
-/// lane fold below picks the smallest index among lanes that tie at the
-/// global min, which is the same index the sequential scan keeps.
+/// second pass below picks the smallest index that attains the global
+/// min, which is the same index the sequential scan keeps.
 // otged-lint: hot-path
-template <bool kMasked>
-inline MinLoc MinFirstIndexImpl(const double* x, const double* excl, int n) {
+inline MinLoc MinFirstIndexMasked(const double* x, const double* excl,
+                                  int n) {
   MinLoc r;
   // Pass 1: the min value. Min is exact in any order, so a plain vector
   // fold (no index tracking) is both cheap and equal to the sequential
@@ -516,18 +362,14 @@ inline MinLoc MinFirstIndexImpl(const double* x, const double* excl, int n) {
   if constexpr (kDoubleLanes > 1) {
     if (n >= kDoubleLanes) {
       VecD vbest = VecD::Broadcast(r.value);
-      for (; j + kDoubleLanes <= n; j += kDoubleLanes) {
-        VecD cur = VecD::Load(x + j);
-        if constexpr (kMasked) cur = cur + VecD::Load(excl + j);
-        vbest = Min(vbest, cur);
-      }
+      for (; j + kDoubleLanes <= n; j += kDoubleLanes)
+        vbest = Min(vbest, VecD::Load(x + j) + VecD::Load(excl + j));
       const double m = HMin(vbest);
       if (m < r.value) r.value = m;
     }
   }
   for (; j < n; ++j) {
-    double cur = x[j];
-    if constexpr (kMasked) cur += excl[j];
+    const double cur = x[j] + excl[j];
     if (cur < r.value) r.value = cur;
   }
   // All +inf (empty or fully masked): the sequential strict-< scan would
@@ -539,8 +381,7 @@ inline MinLoc MinFirstIndexImpl(const double* x, const double* excl, int n) {
   if constexpr (kDoubleLanes > 1) {
     const VecD target = VecD::Broadcast(r.value);
     for (; j + kDoubleLanes <= n; j += kDoubleLanes) {
-      VecD cur = VecD::Load(x + j);
-      if constexpr (kMasked) cur = cur + VecD::Load(excl + j);
+      const VecD cur = VecD::Load(x + j) + VecD::Load(excl + j);
       const int bits = CmpEq(cur, target).MoveMask();
       if (bits != 0) {
         r.index = j + __builtin_ctz(static_cast<unsigned>(bits));
@@ -549,40 +390,12 @@ inline MinLoc MinFirstIndexImpl(const double* x, const double* excl, int n) {
     }
   }
   for (; j < n; ++j) {
-    double cur = x[j];
-    if constexpr (kMasked) cur += excl[j];
-    if (cur == r.value) {
+    if (x[j] + excl[j] == r.value) {
       r.index = j;
       return r;
     }
   }
   return r;
-}
-
-}  // namespace internal
-
-/// Min and first argmin of x[0..n).
-inline MinLoc MinFirstIndex(const double* x, int n) {
-  return internal::MinFirstIndexImpl<false>(x, nullptr, n);
-}
-
-/// Min of x[0..n) (+inf when n == 0); exact in any order.
-// otged-lint: hot-path
-inline double MinValue(const double* x, int n) {
-  double best = std::numeric_limits<double>::infinity();
-  int j = 0;
-  if constexpr (kDoubleLanes > 1) {
-    if (n >= kDoubleLanes) {
-      VecD vbest = VecD::Broadcast(best);
-      for (; j + kDoubleLanes <= n; j += kDoubleLanes)
-        vbest = Min(vbest, VecD::Load(x + j));
-      const double m = HMin(vbest);
-      if (m < best) best = m;
-    }
-  }
-  for (; j < n; ++j)
-    if (x[j] < best) best = x[j];
-  return best;
 }
 
 /// First index with x[j] == value, or -1. Early-exits on the first
@@ -601,65 +414,6 @@ inline int FirstEqIndex(const double* x, int n, double value) {
   for (; j < n; ++j)
     if (x[j] == value) return j;
   return -1;
-}
-
-/// Min and first argmin of x[j] + excl[j] over [0..n); excl[j] = +inf
-/// masks j out, 0.0 keeps it.
-inline MinLoc MinFirstIndexMasked(const double* x, const double* excl,
-                                  int n) {
-  return internal::MinFirstIndexImpl<true>(x, excl, n);
-}
-
-/// Exact sum of |a[i] - b[i]| over n int32 entries (widened to 64-bit
-/// before accumulating, so it cannot overflow for any graph we store).
-// otged-lint: hot-path
-inline long L1DiffI32(const int32_t* a, const int32_t* b, int n) {
-  long total = 0;
-  int i = 0;
-#if defined(OTGED_SIMD_ISA_AVX2)
-  __m256i acc = _mm256_setzero_si256();  // 4 x u64
-  const __m256i zero = _mm256_setzero_si256();
-  for (; i + 8 <= n; i += 8) {
-    __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    __m256i d = _mm256_abs_epi32(_mm256_sub_epi32(va, vb));
-    acc = _mm256_add_epi64(acc, _mm256_unpacklo_epi32(d, zero));
-    acc = _mm256_add_epi64(acc, _mm256_unpackhi_epi32(d, zero));
-  }
-  alignas(32) uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  total = static_cast<long>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
-#elif defined(OTGED_SIMD_ISA_SSE2)
-  __m128i acc = _mm_setzero_si128();  // 2 x u64
-  const __m128i zero = _mm_setzero_si128();
-  for (; i + 4 <= n; i += 4) {
-    __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-    __m128i d = _mm_sub_epi32(va, vb);
-    __m128i s = _mm_srai_epi32(d, 31);  // abs = (d ^ s) - s
-    d = _mm_sub_epi32(_mm_xor_si128(d, s), s);
-    acc = _mm_add_epi64(acc, _mm_unpacklo_epi32(d, zero));
-    acc = _mm_add_epi64(acc, _mm_unpackhi_epi32(d, zero));
-  }
-  alignas(16) uint64_t lanes[2];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
-  total = static_cast<long>(lanes[0] + lanes[1]);
-#elif defined(OTGED_SIMD_ISA_NEON)
-  uint64x2_t acc = vdupq_n_u64(0);
-  for (; i + 4 <= n; i += 4) {
-    int32x4_t va = vld1q_s32(a + i);
-    int32x4_t vb = vld1q_s32(b + i);
-    uint32x4_t d = vreinterpretq_u32_s32(vabdq_s32(va, vb));
-    acc = vpadalq_u32(acc, d);
-  }
-  total = static_cast<long>(vgetq_lane_u64(acc, 0) + vgetq_lane_u64(acc, 1));
-#endif
-  for (; i < n; ++i)
-    total += a[i] < b[i] ? static_cast<long>(b[i]) - a[i]
-                         : static_cast<long>(a[i]) - b[i];
-  return total;
 }
 
 }  // namespace simd

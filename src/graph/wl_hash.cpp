@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/simd.hpp"
-
 namespace otged {
 
 namespace {
@@ -17,23 +15,9 @@ uint64_t Mix(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// Lane-parallel splitmix64 finalizer; VecU64 add/xor/shift/MulLo are
-// exact mod 2^64, so this matches Mix() bit for bit per lane.
-simd::VecU64 MixV(simd::VecU64 x) {
-  using simd::MulLo;
-  using simd::ShiftRight;
-  using simd::VecU64;
-  x = x + VecU64::Broadcast(0x9E3779B97F4A7C15ull);
-  x = MulLo(x ^ ShiftRight<30>(x), VecU64::Broadcast(0xBF58476D1CE4E5B9ull));
-  x = MulLo(x ^ ShiftRight<27>(x), VecU64::Broadcast(0x94D049BB133111EBull));
-  return x ^ ShiftRight<31>(x);
-}
-
 }  // namespace
 
-namespace detail {
-
-std::vector<uint64_t> RefinedColorsScalar(const Graph& g, int iterations) {
+uint64_t WlHash(const Graph& g, int iterations) {
   const int n = g.NumNodes();
   std::vector<uint64_t> color(n), next(n);
   for (int v = 0; v < n; ++v)
@@ -51,76 +35,6 @@ std::vector<uint64_t> RefinedColorsScalar(const Graph& g, int iterations) {
     }
     color.swap(next);
   }
-  return color;
-}
-
-// Same refinement with the per-round work flattened onto arrays: the
-// (map-backed) edge-label lookups are hoisted into a CSR of per-slot
-// signatures built once, and every Mix runs lane-parallel via MixV.
-// Wrap-around sums and MixV are exact, so the colors — and therefore
-// WlHash — match RefinedColorsScalar bit for bit.
-// otged-lint: hot-path
-std::vector<uint64_t> RefinedColorsSimd(const Graph& g, int iterations) {
-  const int n = g.NumNodes();
-  std::vector<uint64_t> color(n), next(n);
-  for (int v = 0; v < n; ++v)
-    color[v] = Mix(0xC0FFEEull + static_cast<uint64_t>(g.label(v)));
-  if (iterations <= 0 || n == 0) return color;
-
-  std::vector<size_t> off(static_cast<size_t>(n) + 1, 0);
-  std::vector<int> nbr;
-  std::vector<uint64_t> sig;
-  for (int v = 0; v < n; ++v) {
-    off[static_cast<size_t>(v)] = nbr.size();
-    for (int w : g.Neighbors(v)) {
-      nbr.push_back(w);
-      sig.push_back(Mix(static_cast<uint64_t>(g.edge_label(v, w)) +
-                        0xED6Eull));
-    }
-  }
-  off[static_cast<size_t>(n)] = nbr.size();
-  const size_t m = nbr.size();
-  std::vector<uint64_t> buf(m), agg(static_cast<size_t>(n));
-  constexpr int L = simd::kDoubleLanes;
-
-  for (int it = 0; it < iterations; ++it) {
-    for (size_t t = 0; t < m; ++t)
-      buf[t] = color[static_cast<size_t>(nbr[t])] ^ sig[t];
-    size_t t = 0;
-    if constexpr (L > 1) {
-      for (; t + L <= m; t += L)
-        MixV(simd::VecU64::Load(buf.data() + t)).Store(buf.data() + t);
-    }
-    for (; t < m; ++t) buf[t] = Mix(buf[t]);
-    for (int v = 0; v < n; ++v) {
-      uint64_t a = 0;
-      for (size_t e = off[static_cast<size_t>(v)];
-           e < off[static_cast<size_t>(v) + 1]; ++e)
-        a += buf[e];
-      agg[static_cast<size_t>(v)] = a;
-    }
-    int v = 0;
-    if constexpr (L > 1) {
-      for (; v + L <= n; v += L)
-        MixV(simd::VecU64::Load(color.data() + v) ^
-             MixV(simd::VecU64::Load(agg.data() + v)))
-            .Store(next.data() + v);
-    }
-    for (; v < n; ++v)
-      next[static_cast<size_t>(v)] =
-          Mix(color[static_cast<size_t>(v)] ^
-              Mix(agg[static_cast<size_t>(v)]));
-    color.swap(next);
-  }
-  return color;
-}
-
-}  // namespace detail
-
-uint64_t WlHash(const Graph& g, int iterations) {
-  std::vector<uint64_t> color = simd::Enabled()
-                                    ? detail::RefinedColorsSimd(g, iterations)
-                                    : detail::RefinedColorsScalar(g, iterations);
   std::sort(color.begin(), color.end());
   uint64_t h = Mix(static_cast<uint64_t>(g.NumNodes()) << 32 |
                    static_cast<uint32_t>(g.NumEdges()));

@@ -8,7 +8,6 @@
 #define OTGED_GRAPH_WL_HASH_HPP_
 
 #include <cstdint>
-#include <vector>
 
 #include "graph/graph.hpp"
 
@@ -21,18 +20,6 @@ uint64_t WlHash(const Graph& g, int iterations = 3);
 /// True if the two graphs cannot be distinguished by `iterations` rounds
 /// of WL refinement (a necessary condition for GED == 0).
 bool WlEquivalent(const Graph& g1, const Graph& g2, int iterations = 3);
-
-namespace detail {
-
-/// Scalar / SIMD twins of the WL color-refinement rounds behind WlHash
-/// (dispatch on simd::Enabled()). Integer mixing and wrap-around sums
-/// are exact in both, so the refined colors are bit-identical; the SIMD
-/// twin additionally hoists the per-edge label lookups into a CSR built
-/// once per call.
-std::vector<uint64_t> RefinedColorsScalar(const Graph& g, int iterations);
-std::vector<uint64_t> RefinedColorsSimd(const Graph& g, int iterations);
-
-}  // namespace detail
 
 }  // namespace otged
 

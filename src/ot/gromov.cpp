@@ -159,8 +159,7 @@ Matrix GwTensorProductClassesSimd(const std::vector<Matrix>& c1,
 Matrix GwTensorProduct(const Matrix& c1, const Matrix& c2, const Matrix& pi) {
   OTGED_CHECK(c1.rows() == c1.cols() && c2.rows() == c2.cols());
   OTGED_CHECK(pi.rows() == c1.rows() && pi.cols() == c2.rows());
-  return simd::Enabled() ? detail::GwTensorProductSimd(c1, c2, pi)
-                         : detail::GwTensorProductScalar(c1, c2, pi);
+  return detail::GwTensorProductSimd(c1, c2, pi);
 }
 
 double GwObjective(const Matrix& c1, const Matrix& c2, const Matrix& pi) {
@@ -171,8 +170,7 @@ Matrix GwTensorProductClasses(const std::vector<Matrix>& c1,
                               const std::vector<Matrix>& c2,
                               const Matrix& pi) {
   OTGED_CHECK(!c1.empty() && c1.size() == c2.size());
-  return simd::Enabled() ? detail::GwTensorProductClassesSimd(c1, c2, pi)
-                         : detail::GwTensorProductClassesScalar(c1, c2, pi);
+  return detail::GwTensorProductClassesSimd(c1, c2, pi);
 }
 
 std::vector<Matrix> EdgeClassMatrices(const Graph& g, int padded_size,

@@ -77,9 +77,10 @@ CgResult FusedGwConditionalGradientGeneral(
 
 namespace detail {
 
-/// Scalar / SIMD twins behind GwTensorProduct and
-/// GwTensorProductClasses (dispatch on simd::Enabled()). The scalar
-/// twins keep the original Matrix-expression arithmetic bit for bit.
+/// Scalar / SIMD twins of GwTensorProduct and GwTensorProductClasses.
+/// The entry points always run the SIMD twins; the scalar twins are the
+/// references that tests and bench_micro_kernels compare them against,
+/// and keep the original Matrix-expression arithmetic bit for bit.
 /// The SIMD twins restructure the cross term as (C2 (C1 pi)^T)^T so the
 /// exact-zero skip rides the sparse cost matrices instead of the dense
 /// intermediate, fold the Hadamard squares into the r/c passes, and

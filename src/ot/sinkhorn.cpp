@@ -410,12 +410,8 @@ SinkhornResult Sinkhorn(const Matrix& cost, const Matrix& mu,
   OTGED_CHECK(opt.epsilon > 0.0);
   OTGED_CHECK_MSG(std::abs(mu.Sum() - nu.Sum()) < 1e-6,
                   "total masses must agree");
-  if (opt.log_domain) {
-    return simd::Enabled() ? detail::SinkhornLogSimd(cost, mu, nu, opt)
-                           : detail::SinkhornLogScalar(cost, mu, nu, opt);
-  }
-  return simd::Enabled() ? detail::SinkhornPlainSimd(cost, mu, nu, opt)
-                         : detail::SinkhornPlainScalar(cost, mu, nu, opt);
+  if (opt.log_domain) return detail::SinkhornLogSimd(cost, mu, nu, opt);
+  return detail::SinkhornPlainSimd(cost, mu, nu, opt);
 }
 
 SinkhornResult SolveGedOt(const Matrix& cost, const SinkhornOptions& opt) {

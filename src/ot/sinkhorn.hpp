@@ -39,13 +39,15 @@ SinkhornResult SolveGedOt(const Matrix& cost, const SinkhornOptions& opt = {});
 
 namespace detail {
 
-/// Scalar / SIMD twins behind Sinkhorn (dispatch on simd::Enabled()).
-/// Both hoist the kernel matrix (and its transpose) out of the iteration
-/// loop. The scalar twins replicate the original Matrix-expression
-/// arithmetic value-for-value (same dot order, same CwiseDiv clamp, same
-/// marginal-check cadence); the SIMD twins reassociate the reductions and
-/// use the vector exp, so they track the scalar twins to a few ulp per
-/// entry rather than bit-for-bit.
+/// Scalar / SIMD twins of Sinkhorn. Sinkhorn always runs the SIMD twin;
+/// the scalar twins are the references that tests and
+/// bench_micro_kernels compare it against. Both hoist the kernel matrix
+/// (and its transpose) out of the iteration loop. The scalar twins
+/// replicate the original Matrix-expression arithmetic value-for-value
+/// (same dot order, same CwiseDiv clamp, same marginal-check cadence);
+/// the SIMD twins reassociate the reductions and use the vector exp, so
+/// they track the scalar twins to a few ulp per entry rather than
+/// bit-for-bit.
 SinkhornResult SinkhornPlainScalar(const Matrix& cost, const Matrix& mu,
                                    const Matrix& nu,
                                    const SinkhornOptions& opt);

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "core/simd.hpp"
 #include "graph/wl_hash.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -60,55 +59,25 @@ int LabelMultisetNodeBound(const std::vector<Label>& a,
 
 }  // namespace
 
-namespace detail {
-
-/// L1 distance between the two ascending degree sequences, zero-padded to
-/// equal length. Ascending index-by-index pairing minimizes the L1 sum
-/// over all pairings (rearrangement inequality), and each edge edit
-/// changes exactly two degrees by one, so edge edits >= ceil(L1 / 2).
-int DegreeSequenceEdgeBoundScalar(const std::vector<int>& a,
-                                  const std::vector<int>& b) {
-  const size_t n = std::max(a.size(), b.size());
-  long l1 = 0;
-  for (size_t i = 0; i < n; ++i) {
-    // Zero-pad at the *front* of the shorter (ascending) sequence.
-    const size_t pad_a = n - a.size(), pad_b = n - b.size();
-    int da = i < pad_a ? 0 : a[i - pad_a];
-    int db = i < pad_b ? 0 : b[i - pad_b];
-    l1 += std::abs(da - db);
-  }
-  return static_cast<int>((l1 + 1) / 2);
-}
-
-// Only the shorter sequence is padded (at the front), so the padding
-// region reduces to a plain prefix sum of the longer one and the rest is
-// an aligned integer |a - b| reduction — exact, hence identical to the
-// scalar twin.
-// otged-lint: hot-path
-int DegreeSequenceEdgeBoundSimd(const std::vector<int>& a,
-                                const std::vector<int>& b) {
+int DegreeSequenceEdgeBound(const std::vector<int>& a,
+                            const std::vector<int>& b) {
+  // Zero-padding the shorter (ascending) sequence at the front makes the
+  // padded region a plain prefix sum of the longer one; the rest pairs
+  // s[i] with l[pad + i].
   const std::vector<int>& s = a.size() <= b.size() ? a : b;
   const std::vector<int>& l = a.size() <= b.size() ? b : a;
   const size_t pad = l.size() - s.size();
   long l1 = 0;
   for (size_t i = 0; i < pad; ++i) l1 += std::abs(l[i]);
-  l1 += simd::L1DiffI32(s.data(), l.data() + pad,
-                        static_cast<int>(s.size()));
+  for (size_t i = 0; i < s.size(); ++i) l1 += std::abs(s[i] - l[pad + i]);
   return static_cast<int>((l1 + 1) / 2);
 }
-
-}  // namespace detail
 
 int InvariantLowerBound(const GraphInvariants& a, const GraphInvariants& b) {
   int label_bound = LabelMultisetNodeBound(a.sorted_labels, b.sorted_labels) +
                     std::abs(a.num_edges - b.num_edges);
-  int degree_bound =
-      simd::Enabled()
-          ? detail::DegreeSequenceEdgeBoundSimd(a.sorted_degrees,
-                                                b.sorted_degrees)
-          : detail::DegreeSequenceEdgeBoundScalar(a.sorted_degrees,
-                                                  b.sorted_degrees);
-  return std::max(label_bound, degree_bound);
+  return std::max(label_bound, DegreeSequenceEdgeBound(a.sorted_degrees,
+                                                       b.sorted_degrees));
 }
 
 uint64_t StoreSnapshot::NextLineage() {

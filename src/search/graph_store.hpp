@@ -68,19 +68,12 @@ inline std::pair<const Graph*, const Graph*> OrderBySize(const Graph& a,
 /// ceil(L1/2) never exceeds the number of edge edits.
 int InvariantLowerBound(const GraphInvariants& a, const GraphInvariants& b);
 
-namespace detail {
-
-/// Scalar / SIMD twins of the degree-sequence L1 term inside
-/// InvariantLowerBound (dispatch on simd::Enabled()). Integer L1 is
-/// exact in both, so the bounds are identical; the SIMD twin handles the
-/// front zero-padding scalar and runs the aligned overlap through a
-/// vector |a - b| reduction.
-int DegreeSequenceEdgeBoundScalar(const std::vector<int>& a,
-                                  const std::vector<int>& b);
-int DegreeSequenceEdgeBoundSimd(const std::vector<int>& a,
-                                const std::vector<int>& b);
-
-}  // namespace detail
+/// The degree term of InvariantLowerBound: ceil(L1 / 2) between two
+/// ascending degree sequences, the shorter one zero-padded at the front.
+/// Ascending index-by-index pairing minimizes L1 over all pairings
+/// (rearrangement inequality), so the bound is admissible.
+int DegreeSequenceEdgeBound(const std::vector<int>& a,
+                            const std::vector<int>& b);
 
 /// One stored graph with its precomputed invariants; shared between
 /// snapshots, immutable after ingest.

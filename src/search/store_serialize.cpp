@@ -1,8 +1,13 @@
 #include "search/store_serialize.hpp"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <limits>
 #include <optional>
 #include <string_view>
@@ -17,6 +22,56 @@ namespace otged {
 namespace {
 
 constexpr uint64_t kMagic = 0x31524F545347544Full;  // "OTGSTOR1" LE
+
+// The bytes of one store file, read into a private anonymous mapping
+// for the length of one load. munmap hands the pages back, so a load
+// leaves no file-sized buffer in the heap. A freed heap buffer can stay
+// resident, and a process that reloads its store then peaks a file size
+// higher. The file is read, not mapped, so a writer truncating it
+// mid-load makes the load fail instead of faulting.
+class FileBytes {
+ public:
+  explicit FileBytes(const std::string& path) {
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) return;
+    opened_ = true;
+    struct stat st {};
+    if (::fstat(fd, &st) == 0) {
+      const size_t size = static_cast<size_t>(st.st_size);
+      void* p = size == 0 ? nullptr
+                          : ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (p != MAP_FAILED) {
+        char* data = static_cast<char*>(p);
+        bytes_ = std::string_view(data, size);
+        size_t done = 0;
+        while (done < size) {
+          const ssize_t n = ::read(fd, data + done, size - done);
+          if (n < 0 && errno == EINTR) continue;
+          if (n <= 0) break;
+          done += static_cast<size_t>(n);
+        }
+        complete_ = done == size;
+      }
+    }
+    ::close(fd);
+  }
+  ~FileBytes() {
+    if (!bytes_.empty())
+      ::munmap(const_cast<char*>(bytes_.data()), bytes_.size());
+  }
+  FileBytes(const FileBytes&) = delete;
+  FileBytes& operator=(const FileBytes&) = delete;
+
+  bool opened() const { return opened_; }
+  bool complete() const { return complete_; }
+  std::string_view bytes() const { return bytes_; }
+
+ private:
+  std::string_view bytes_;
+  bool opened_ = false;
+  bool complete_ = false;
+};
 
 bool Fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
@@ -105,11 +160,10 @@ bool SaveGraphStore(const GraphStore& store, const std::string& path,
 
 bool LoadGraphStore(GraphStore* store, const std::string& path,
                     std::string* error, GraphIndex* /*index*/) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Fail(error, "cannot open " + path);
-  std::string file((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) return Fail(error, "read failure on " + path);
+  const FileBytes bytes(path);
+  if (!bytes.opened()) return Fail(error, "cannot open " + path);
+  if (!bytes.complete()) return Fail(error, "read failure on " + path);
+  const std::string_view file = bytes.bytes();
 
   size_t offset = 0;
   uint64_t magic = 0;

@@ -88,6 +88,35 @@ TEST(WlHashTest, SeesEdgeLabels) {
   EXPECT_FALSE(WlEquivalent(g1, g2));
 }
 
+// Stored graph files carry each graph's WlHash, and LoadGraphStore
+// refuses a file whose stored hash differs from a recomputed one, so the
+// hash values themselves are a file-format contract: these literals were
+// produced by earlier builds and must not change.
+TEST(WlHashTest, GoldenValues) {
+  EXPECT_EQ(WlHash(Graph()), 0xe220a8397b1dcdafull);
+  EXPECT_EQ(WlHash(Graph(1, 0)), 0x55a0096239a7809dull);
+
+  Graph labeled(4, 0);
+  labeled.set_label(0, 3);
+  labeled.set_label(2, 7);
+  labeled.AddEdge(0, 1);
+  labeled.AddEdge(1, 2);
+  labeled.AddEdge(2, 3);
+  labeled.AddEdge(3, 0);
+  EXPECT_EQ(WlHash(labeled), 0x77162ee2334ae700ull);
+
+  Graph edge_labeled(3, 1);
+  edge_labeled.AddEdge(0, 1, 2);
+  edge_labeled.AddEdge(1, 2, 5);
+  EXPECT_EQ(WlHash(edge_labeled), 0xcec984da5d6fc6f3ull);
+
+  Rng rng(11);
+  const Graph power_law = PowerLawGraph(24, 2, &rng);
+  ASSERT_EQ(power_law.NumEdges(), 45);  // the generator itself is unchanged
+  EXPECT_EQ(WlHash(power_law), 0x67ca4d5653931d9bull);
+  EXPECT_EQ(WlHash(power_law, 1), 0x2bedf84e01c79488ull);
+}
+
 TEST(BranchLowerBoundTest, NeverExceedsExactGed) {
   Rng rng(5);
   for (int trial = 0; trial < 25; ++trial) {

@@ -256,7 +256,15 @@ TEST(SearchMetamorphicTest, LoadRejectsCorruptFiles) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
   }
   EXPECT_FALSE(LoadGraphStore(&loaded, path, &error));
+
+  // An empty file is not a store; a missing one cannot be opened.
+  std::ofstream(path, std::ios::binary | std::ios::trunc).close();
+  EXPECT_FALSE(LoadGraphStore(&loaded, path, &error));
+  EXPECT_NE(error.find("bad magic"), std::string::npos) << error;
   std::remove(path.c_str());
+  EXPECT_FALSE(LoadGraphStore(&loaded, path, &error));
+  EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
+  EXPECT_EQ(loaded.Size(), 0);
 }
 
 }  // namespace

@@ -3,26 +3,24 @@
 /// over sizes 3..64 so lane remainders (non-multiples of the vector
 /// width) are exercised on both sides of every block boundary.
 ///
-/// The contract split mirrors src/core/simd.hpp: integer kernels (WL
-/// color refinement, degree-sequence L1 bound) and the assignment
-/// solvers (whose vector bodies preserve the scalar association and
-/// first-index tie-breaks) must match BIT FOR BIT; the reassociated
-/// float kernels (Sinkhorn plain/log, GW tensor product) to a bounded
-/// relative tolerance. The public entry points must dispatch to whichever
-/// twin simd::Enabled() selects, so OTGED_SIMD=off runs are exactly the
-/// scalar twins.
+/// The public entry points always run the SIMD twin; the scalar twin is
+/// the reference. The contract split mirrors src/core/simd.hpp: LAPJV
+/// (whose vector body preserves the scalar association and first-index
+/// tie-breaks) must match BIT FOR BIT; the reassociated float kernels
+/// (Sinkhorn plain/log, GW tensor product) to a bounded relative
+/// tolerance. The degree-sequence bound, which has one implementation,
+/// is checked against the zero-padded formula it replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "assignment/hungarian.hpp"
 #include "assignment/lapjv.hpp"
 #include "core/random.hpp"
-#include "core/simd.hpp"
 #include "graph/generator.hpp"
-#include "graph/wl_hash.hpp"
 #include "ot/gromov.hpp"
 #include "ot/sinkhorn.hpp"
 #include "search/graph_store.hpp"
@@ -55,6 +53,14 @@ void ExpectClose(const Matrix& a, const Matrix& b, const std::string& what) {
     ASSERT_LE(RelDiff(a[i], b[i]), kUlpTol) << what << " entry " << i;
 }
 
+void ExpectSameMatrix(const Matrix& a, const Matrix& b,
+                      const std::string& what) {
+  ASSERT_EQ(a.rows(), b.rows()) << what;
+  ASSERT_EQ(a.cols(), b.cols()) << what;
+  for (int i = 0; i < a.size(); ++i)
+    ASSERT_EQ(a[i], b[i]) << what << " entry " << i;  // bit-equal
+}
+
 void ExpectSameAssignment(const AssignmentResult& a, const AssignmentResult& b,
                           const std::string& what) {
   EXPECT_EQ(a.cost, b.cost) << what;          // bit-equal, not near
@@ -62,13 +68,10 @@ void ExpectSameAssignment(const AssignmentResult& a, const AssignmentResult& b,
   EXPECT_EQ(a.feasible, b.feasible) << what;
 }
 
-TEST(SimdTwinTest, AssignmentSolversBitIdentical) {
+TEST(SimdTwinTest, LapjvTwinsBitIdentical) {
   for (int n = 3; n <= 64; ++n) {
     const uint64_t s = static_cast<uint64_t>(n);
     Matrix cost = RandomCost(n, n, 10 + s);
-    ExpectSameAssignment(detail::SolveAssignmentScalar(cost),
-                         detail::SolveAssignmentSimd(cost),
-                         "hungarian n=" + std::to_string(n));
     ExpectSameAssignment(detail::SolveAssignmentJVScalar(cost),
                          detail::SolveAssignmentJVSimd(cost),
                          "lapjv n=" + std::to_string(n));
@@ -77,9 +80,6 @@ TEST(SimdTwinTest, AssignmentSolversBitIdentical) {
     Rng trng(70 + s);
     for (int i = 0; i < tied.size(); ++i)
       tied[i] = static_cast<double>(trng.UniformInt(0, 3));
-    ExpectSameAssignment(detail::SolveAssignmentScalar(tied),
-                         detail::SolveAssignmentSimd(tied),
-                         "hungarian tied n=" + std::to_string(n));
     ExpectSameAssignment(detail::SolveAssignmentJVScalar(tied),
                          detail::SolveAssignmentJVSimd(tied),
                          "lapjv tied n=" + std::to_string(n));
@@ -88,9 +88,6 @@ TEST(SimdTwinTest, AssignmentSolversBitIdentical) {
     Rng mrng(50 + s);
     for (int i = 0; i < masked.size(); ++i)
       if (mrng.UniformInt(0, 4) == 0) masked[i] = kAssignInf;
-    ExpectSameAssignment(detail::SolveAssignmentScalar(masked),
-                         detail::SolveAssignmentSimd(masked),
-                         "hungarian masked n=" + std::to_string(n));
     ExpectSameAssignment(detail::SolveAssignmentJVScalar(masked),
                          detail::SolveAssignmentJVSimd(masked),
                          "lapjv masked n=" + std::to_string(n));
@@ -145,22 +142,22 @@ TEST(SimdTwinTest, GwTensorTwinsBoundedUlp) {
   }
 }
 
-TEST(SimdTwinTest, WlColorsBitIdentical) {
-  for (int n = 3; n <= 64; ++n) {
-    const uint64_t s = static_cast<uint64_t>(n);
-    Rng rng(500 + s);
-    Graph pl = PowerLawGraph(n, 2, &rng);
-    EXPECT_EQ(detail::RefinedColorsScalar(pl, 3),
-              detail::RefinedColorsSimd(pl, 3))
-        << "powerlaw n=" << n;
-    Graph labeled = AidsLikeGraph(&rng, n, n + 4);
-    EXPECT_EQ(detail::RefinedColorsScalar(labeled, 4),
-              detail::RefinedColorsSimd(labeled, 4))
-        << "labeled n=" << n;
+/// The zero-padded formula DegreeSequenceEdgeBound replaced: both
+/// ascending sequences padded with zeros at the front to equal length,
+/// then ceil(L1 / 2).
+int PaddedDegreeBound(const std::vector<int>& a, const std::vector<int>& b) {
+  const size_t n = std::max(a.size(), b.size());
+  const size_t pad_a = n - a.size(), pad_b = n - b.size();
+  long l1 = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const int da = i < pad_a ? 0 : a[i - pad_a];
+    const int db = i < pad_b ? 0 : b[i - pad_b];
+    l1 += std::abs(da - db);
   }
+  return static_cast<int>((l1 + 1) / 2);
 }
 
-TEST(SimdTwinTest, DegreeBoundBitIdentical) {
+TEST(DegreeBoundTest, MatchesZeroPaddedReference) {
   for (int n = 0; n <= 64; ++n) {
     const uint64_t s = static_cast<uint64_t>(n);
     Rng rng(600 + s);
@@ -170,38 +167,44 @@ TEST(SimdTwinTest, DegreeBoundBitIdentical) {
     for (int& d : b) d = rng.UniformInt(0, 12);
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
-    EXPECT_EQ(detail::DegreeSequenceEdgeBoundScalar(a, b),
-              detail::DegreeSequenceEdgeBoundSimd(a, b))
+    EXPECT_EQ(DegreeSequenceEdgeBound(a, b), PaddedDegreeBound(a, b))
         << "n=" << n;
+    // Either argument may be the shorter one.
+    EXPECT_EQ(DegreeSequenceEdgeBound(b, a), PaddedDegreeBound(a, b))
+        << "swapped n=" << n;
   }
 }
 
-TEST(SimdTwinTest, PublicEntryPointsDispatchOnEnabled) {
+TEST(SimdTwinTest, PublicEntryPointsRunVectorKernels) {
   const int n = 17;
   Matrix cost = RandomCost(n, n, 7);
-  const AssignmentResult twin = simd::Enabled()
-                                    ? detail::SolveAssignmentSimd(cost)
-                                    : detail::SolveAssignmentScalar(cost);
-  ExpectSameAssignment(SolveAssignment(cost), twin, "hungarian dispatch");
-  const AssignmentResult jtwin = simd::Enabled()
-                                     ? detail::SolveAssignmentJVSimd(cost)
-                                     : detail::SolveAssignmentJVScalar(cost);
-  ExpectSameAssignment(SolveAssignmentJV(cost), jtwin, "lapjv dispatch");
+  ExpectSameAssignment(SolveAssignmentJV(cost),
+                       detail::SolveAssignmentJVSimd(cost), "lapjv");
 
   Matrix mu = Matrix::ColVec(n, 1.0), nu = Matrix::ColVec(n, 1.0);
   SinkhornOptions sopt;
   sopt.max_iters = 15;
-  const SinkhornResult stwin =
-      simd::Enabled() ? detail::SinkhornPlainSimd(cost, mu, nu, sopt)
-                      : detail::SinkhornPlainScalar(cost, mu, nu, sopt);
-  const SinkhornResult spub = Sinkhorn(cost, mu, nu, sopt);
-  EXPECT_EQ(spub.cost, stwin.cost);  // dispatch, so bit-equal
-  EXPECT_EQ(spub.iters, stwin.iters);
+  for (bool log_domain : {false, true}) {
+    sopt.log_domain = log_domain;
+    const SinkhornResult twin =
+        log_domain ? detail::SinkhornLogSimd(cost, mu, nu, sopt)
+                   : detail::SinkhornPlainSimd(cost, mu, nu, sopt);
+    const SinkhornResult pub = Sinkhorn(cost, mu, nu, sopt);
+    EXPECT_EQ(pub.cost, twin.cost) << "log_domain=" << log_domain;
+    EXPECT_EQ(pub.iters, twin.iters) << "log_domain=" << log_domain;
+    ExpectSameMatrix(pub.coupling, twin.coupling, "sinkhorn coupling");
+  }
 
-  // ActiveDoubleLanes reflects the switch: the compile-time lane width
-  // when enabled, 1 when the environment forced the scalar twins.
-  EXPECT_EQ(simd::ActiveDoubleLanes(),
-            simd::Enabled() ? simd::kDoubleLanes : 1);
+  Rng rng(8);
+  const Matrix a1 = PowerLawGraph(n, 2, &rng).AdjacencyMatrix();
+  const Matrix a2 = PowerLawGraph(n, 2, &rng).AdjacencyMatrix();
+  const Matrix pi = RandomCost(n, n, 9);
+  ExpectSameMatrix(GwTensorProduct(a1, a2, pi),
+                   detail::GwTensorProductSimd(a1, a2, pi), "gw");
+  const std::vector<Matrix> c1 = {a1}, c2 = {a2};
+  ExpectSameMatrix(GwTensorProductClasses(c1, c2, pi),
+                   detail::GwTensorProductClassesSimd(c1, c2, pi),
+                   "gw classes");
 }
 
 }  // namespace

@@ -14,9 +14,9 @@ by bench_micro_kernels) use the kernel schema instead: "bench",
 "git_rev" and "timestamp" as above, a non-empty "kernels" list of
 {"name", "ns_per_op", "ops"} entries with unique names, an optional
 "smoke" bool, optional "simd_isa" (str) / "simd_lanes" (int >= 1)
-fields recording which SIMD path the run took, an optional
-"twins_equal" bool (the scalar-vs-SIMD twin gate; must be true when
-present).
+fields recording the compile-time ISA and its double-lane width, an
+optional "twins_equal" bool (the scalar-vs-SIMD twin gate; must be true
+when present).
 
 With --baseline OLD.json, kernels present in both records are compared
 by ns_per_op: a regression above 15% prints a WARNING, above 50% it is
